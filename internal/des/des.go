@@ -7,10 +7,12 @@
 //
 // The hot path is allocation-free: events are typed value records
 // ({Time, Seq, Kind, Arg0, Arg1}, see Event) stored directly in a concrete
-// 4-ary min-heap — no closures, no container/heap interface boxing — and
-// dispatched through a single Handler installed with SetHandler. A
-// simulation encodes each state-machine transition as a Kind and small
-// integer operands (a rank index, a pooled-object index) in the args.
+// monotone radix queue — no closures, no container/heap interface boxing —
+// and dispatched through a single Handler installed with SetHandler. The
+// queue exploits the engine never scheduling into the past: (time, seq)
+// keys only ever increase past the last executed event. A simulation
+// encodes each state-machine transition as a Kind and small integer
+// operands (a rank index, a pooled-object index) in the args.
 //
 // A thin closure-compatible wrapper (Schedule, At) remains for callers that
 // prefer func() events; both styles share one clock and one ordering.
@@ -31,9 +33,9 @@ type Engine struct {
 	seq     uint64
 	ran     uint64
 	handler Handler
-	events  eventHeap
+	events  radixQueue
 	events3 eventHeap3 // canonically ordered events (AtPri / AtPriCtx)
-	pay     []payload  // pending-event payloads, indexed by heap order slot
+	pay     []payload  // pending-event payloads, indexed by order slot
 	payFree []int32
 	fns     []func() // closure registry, indexed by closure payloads' arg0
 	fnFree  []int32
@@ -53,7 +55,7 @@ func AllocSlot[T any](items *[]T, free *[]int32, reset T) int32 {
 	return int32(len(*items) - 1)
 }
 
-// pushEvent allocates a payload slot and pushes the 16-byte heap record.
+// pushEvent allocates a payload slot and queues the 16-byte key.
 func (e *Engine) pushEvent(t float64, k Kind, arg0, arg1 int32) {
 	slot := AllocSlot(&e.pay, &e.payFree, payload{kind: k, arg0: arg0, arg1: arg1})
 	if slot > slotMask {
@@ -69,7 +71,7 @@ func (e *Engine) pushEvent(t float64, k Kind, arg0, arg1 int32) {
 
 // Reset returns the engine to its initial state — clock at zero, no
 // pending events, fresh sequence numbering — while retaining the installed
-// handler and the capacity of the event heap and payload pools. A reset
+// handler and the capacity of the event queues and payload pools. A reset
 // engine behaves bit-identically to a newly constructed one, so a long-lived
 // engine can serve back-to-back simulations without reallocating.
 func (e *Engine) Reset() {

@@ -1,342 +1,128 @@
 package des
 
-// Alternative pending-event queues for the priority-queue shootout
-// (queue_bench_test.go). Conservative parallel runs in the huge-run regime
-// put hundreds of thousands of pending events in every shard's queue, where
-// the O(log n) sift of a binary/4-ary heap is the textbook loser to the
-// amortised-O(1) calendar queue (Brown 1988) and ladder queue (Tang 2005).
-// Both are implemented here behind the same method set as eventHeap
-// (evQueue) and raced under the hold model at queue sizes from 1K to 1M.
+import "math/bits"
+
+// radixQueue is the engine's pending-event queue: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin & Tarjan 1990) over the 128-bit key formed by
+// tbits (high word) and order (low word). It relies on the engine never
+// scheduling into the past: every pushed key is at least the last popped
+// one, and for the engine strictly greater, since order carries a fresh
+// sequence number.
 //
-// Outcome (see README "Priority-queue shootout"): the cache-aligned 4-ary
-// heap wins every hold-model size from 16K pending events up — the regime
-// sharded huge runs actually live in (calendar edges it out only at 1K). The
-// shootout's event keys are 16 bytes and the heap's sift touches one cache
-// line per level, so even at one million pending events a pop is ~5 line
-// reads, while both multi-list queues pay per-event slice bookkeeping,
-// bucket scans and occasional O(n) reorganisations — and, being
-// multi-array structures, they would also force an interface indirection
-// into Engine.Step. The Engine therefore keeps the concrete eventHeap; the
-// alternatives stay as the measured baseline that justifies it.
-
-import (
-	"math"
-	"sort"
-)
-
-// evQueue is the operation set a pending-event queue must provide. The
-// Engine deliberately holds a concrete eventHeap rather than this
-// interface — devirtualising push/pop is worth ~10% on the event rate —
-// so the interface exists for the shootout and for tests that race the
-// implementations against each other.
-type evQueue interface {
-	push(ev heapEvent)
-	pop() heapEvent
-	top() heapEvent
-	len() int
-	clear()
+// Bucket b holds the pending events whose highest bit differing from the
+// last popped key is bit b-1, i.e. b = bits.Len of (key XOR last); bucket 0
+// holds keys equal to last. Every key in bucket b is smaller than every key
+// in a higher bucket, so the minimum lives in the lowest non-empty bucket.
+// Pop scans that bucket for its minimum, makes it the new last key and
+// moves the rest into lower buckets, which are all empty at that moment.
+// Each move lowers an event's bucket, so it moves at most 128 times over
+// its life; in practice a few.
+//
+// The README's hold-model shootout raced it against the cache-aligned
+// 4-ary heap it replaced and against calendar and ladder queues: it won at
+// every size from 16K to 1M pending events, and at 1K lost only to the
+// calendar queue on bimodal gaps, by 4%.
+type radixQueue struct {
+	last     heapEvent // last popped key; no pending key is below it
+	n        int
+	nonEmpty [3]uint64 // bit b set iff buckets[b] is non-empty
+	buckets  [129][]heapEvent
 }
-
-var (
-	_ evQueue = (*eventHeap)(nil)
-	_ evQueue = (*calQueue)(nil)
-	_ evQueue = (*ladQueue)(nil)
-)
 
 func evLess(a, b heapEvent) bool {
 	return a.tbits < b.tbits || (a.tbits == b.tbits && a.order < b.order)
 }
 
-// --- calendar queue (Brown 1988) ---
+func (q *radixQueue) len() int { return q.n }
 
-// calQueue is a classic calendar queue: a power-of-two array of day
-// buckets of fixed width, the year being nb·width. Each bucket keeps its
-// events sorted descending so the minimum is at the tail; dequeue scans
-// days from the current one, falling back to a direct full search after a
-// fruitless year. The queue resizes (and re-estimates the bucket width
-// from the observed event spacing) when the population doubles or
-// quarters.
-type calQueue struct {
-	buckets [][]heapEvent
-	mask    int
-	width   float64
-	curVB   int64 // current virtual bucket (t / width)
-	n       int
-	up, dn  int // resize thresholds
-}
-
-func newCalQueue() *calQueue {
-	q := &calQueue{}
-	q.rebuild(4, 1)
-	return q
-}
-
-func (q *calQueue) len() int { return q.n }
-
-func (q *calQueue) clear() {
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	q.n = 0
-	q.curVB = 0
-}
-
-func (q *calQueue) rebuild(nb int, width float64) {
-	old := q.buckets
-	q.buckets = make([][]heapEvent, nb)
-	q.mask = nb - 1
-	q.width = width
-	q.up = 2 * nb
-	q.dn = nb/2 - 2
-	q.n = 0
-	q.curVB = math.MaxInt64
-	for _, b := range old {
-		for _, ev := range b {
-			q.push(ev)
+// clear empties the queue, keeping every bucket's backing array.
+func (q *radixQueue) clear() {
+	for w, m := range q.nonEmpty {
+		for ; m != 0; m &= m - 1 {
+			b := w<<6 | bits.TrailingZeros64(m)
+			q.buckets[b] = q.buckets[b][:0]
 		}
 	}
-	if q.n == 0 {
-		q.curVB = 0
-	}
+	q.last, q.n, q.nonEmpty = heapEvent{}, 0, [3]uint64{}
 }
 
-// resize re-estimates the bucket width as 3× the mean gap between the
-// first few pending events (Brown's sampling rule, simplified) and
-// redistributes into nb buckets.
-func (q *calQueue) resize(nb int) {
-	var sample []heapEvent
-	for _, b := range q.buckets {
-		sample = append(sample, b...)
-		if len(sample) >= 32 {
-			break
-		}
+// bucket returns the bucket index of ev relative to the last popped key.
+func (q *radixQueue) bucket(ev heapEvent) int {
+	if x := ev.tbits ^ q.last.tbits; x != 0 {
+		return 64 + bits.Len64(x)
 	}
-	sort.Slice(sample, func(i, j int) bool { return evLess(sample[i], sample[j]) })
-	width := 1.0
-	if len(sample) >= 2 {
-		span := sample[len(sample)-1].time() - sample[0].time()
-		if gap := span / float64(len(sample)-1); gap > 0 {
-			width = 3 * gap
-		}
-	}
-	q.rebuild(nb, width)
+	return bits.Len64(ev.order ^ q.last.order)
 }
 
-func (q *calQueue) push(ev heapEvent) {
-	vb := int64(ev.time() / q.width)
-	i := int(vb) & q.mask
-	b := q.buckets[i]
-	j := len(b)
-	b = append(b, ev)
-	// Descending insertion: the bucket minimum stays at the tail.
-	for j > 0 && evLess(b[j-1], ev) {
-		b[j] = b[j-1]
-		j--
+func (q *radixQueue) add(b int, ev heapEvent) {
+	q.buckets[b] = append(q.buckets[b], ev)
+	q.nonEmpty[b>>6] |= 1 << (b & 63)
+}
+
+// push inserts ev. A key below the last popped one would break the bucket
+// invariant, and only an engine scheduling into the past produces one.
+func (q *radixQueue) push(ev heapEvent) {
+	if evLess(ev, q.last) {
+		panic("des: event key below the last popped key")
 	}
-	b[j] = ev
-	q.buckets[i] = b
+	q.add(q.bucket(ev), ev)
 	q.n++
-	if vb < q.curVB {
-		q.curVB = vb
-	}
-	if q.n > q.up {
-		q.resize(2 * (q.mask + 1))
-	}
 }
 
-// locate advances the day scan to the bucket holding the minimum event and
-// returns its index. The caller must ensure the queue is non-empty.
-func (q *calQueue) locate() int {
-	for scanned := 0; scanned <= q.mask; scanned++ {
-		i := int(q.curVB) & q.mask
-		if b := q.buckets[i]; len(b) > 0 {
-			if b[len(b)-1].time() < float64(q.curVB+1)*q.width {
-				return i
-			}
-		}
-		q.curVB++
+// first returns the index of the lowest non-empty bucket. The queue must
+// not be empty.
+func (q *radixQueue) first() int {
+	if m := q.nonEmpty[0]; m != 0 {
+		return bits.TrailingZeros64(m)
 	}
-	// A whole year without a hit: search all buckets directly and jump the
-	// calendar to the winner's day.
-	best, found := -1, heapEvent{}
-	for i, b := range q.buckets {
-		if len(b) == 0 {
-			continue
-		}
-		if tail := b[len(b)-1]; best < 0 || evLess(tail, found) {
-			best, found = i, tail
-		}
+	if m := q.nonEmpty[1]; m != 0 {
+		return 64 | bits.TrailingZeros64(m)
 	}
-	q.curVB = int64(found.time() / q.width)
-	return best
+	return 128
 }
 
-func (q *calQueue) top() heapEvent {
-	i := q.locate()
-	b := q.buckets[i]
-	return b[len(b)-1]
+// minIndex returns the position of the smallest key in s.
+func minIndex(s []heapEvent) int {
+	mi := 0
+	for i := 1; i < len(s); i++ {
+		if evLess(s[i], s[mi]) {
+			mi = i
+		}
+	}
+	return mi
 }
 
-func (q *calQueue) pop() heapEvent {
-	i := q.locate()
-	b := q.buckets[i]
-	ev := b[len(b)-1]
-	q.buckets[i] = b[:len(b)-1]
+// top returns the minimum pending event without removing it. It leaves the
+// last popped key alone, so events may still be pushed anywhere at or above
+// that key — including below the returned one. The queue must not be
+// empty.
+func (q *radixQueue) top() heapEvent {
+	s := q.buckets[q.first()]
+	return s[minIndex(s)]
+}
+
+// pop removes and returns the minimum pending event. The queue must not be
+// empty.
+func (q *radixQueue) pop() heapEvent {
+	b := q.first()
+	s := q.buckets[b]
 	q.n--
-	if q.n < q.dn {
-		q.resize((q.mask + 1) / 2)
-	}
-	return ev
-}
-
-// --- ladder queue (Tang, Goh & Thng 2005) ---
-
-const (
-	ladThreshold = 64 // max events a bucket may spill into bottom unsorted
-	ladMaxRungs  = 8
-)
-
-// ladQueue is a simplified ladder queue: far-future events pool unsorted in
-// top; when top must be drained it is scattered into a rung of buckets, and
-// a bucket is either sorted into bottom (small) or scattered into a finer
-// rung (large). Near-future events live pre-sorted in bottom (descending,
-// minimum at the tail), so steady-state dequeue is O(1) and sorting cost is
-// amortised over bucket spills.
-type ladQueue struct {
-	far            []heapEvent
-	farMin, farMax float64
-	farStart       float64 // events at or above this go to far
-	rungs          []ladRung
-	bottom         []heapEvent // sorted descending
-	n              int
-}
-
-type ladRung struct {
-	start, width float64
-	cur          int // buckets below cur are drained
-	count        int
-	buckets      [][]heapEvent
-}
-
-func newLadQueue() *ladQueue { return &ladQueue{} }
-
-func (q *ladQueue) len() int { return q.n }
-
-func (q *ladQueue) clear() { *q = ladQueue{} }
-
-func (q *ladQueue) push(ev heapEvent) {
-	q.n++
-	t := ev.time()
-	if len(q.far) == 0 && len(q.rungs) == 0 && len(q.bottom) == 0 {
-		q.farStart = 0
-	}
-	if t >= q.farStart {
-		if len(q.far) == 0 || t < q.farMin {
-			q.farMin = t
+	if b == 0 {
+		// Bucket 0 holds only copies of the last popped key.
+		q.buckets[0] = s[:len(s)-1]
+		if len(s) == 1 {
+			q.nonEmpty[0] &^= 1
 		}
-		if len(q.far) == 0 || t > q.farMax {
-			q.farMax = t
-		}
-		q.far = append(q.far, ev)
-		return
+		return s[len(s)-1]
 	}
-	for ri := range q.rungs {
-		r := &q.rungs[ri]
-		if t >= r.start+float64(r.cur)*r.width {
-			i := int((t - r.start) / r.width)
-			if i >= len(r.buckets) {
-				i = len(r.buckets) - 1
-			}
-			if i < r.cur {
-				i = r.cur
-			}
-			r.buckets[i] = append(r.buckets[i], ev)
-			r.count++
-			return
-		}
+	mi := minIndex(s)
+	min := s[mi]
+	q.last = min
+	s[mi] = s[len(s)-1]
+	for _, ev := range s[:len(s)-1] {
+		q.add(q.bucket(ev), ev)
 	}
-	// Sorted descending insert into bottom.
-	b := q.bottom
-	j := len(b)
-	b = append(b, ev)
-	for j > 0 && evLess(b[j-1], ev) {
-		b[j] = b[j-1]
-		j--
-	}
-	b[j] = ev
-	q.bottom = b
-}
-
-// spawn scatters evs into a new rung covering [lo, hi] with one bucket per
-// event, appended below the existing rungs.
-func (q *ladQueue) spawn(evs []heapEvent, lo, hi float64) {
-	nb := len(evs)
-	width := (hi - lo) / float64(nb)
-	r := ladRung{start: lo, width: width, buckets: make([][]heapEvent, nb)}
-	if width <= 0 {
-		// Degenerate span (equal timestamps): a single bucket; the sort
-		// into bottom handles ordering.
-		r.width = 1
-		r.buckets = make([][]heapEvent, 1)
-	}
-	for _, ev := range evs {
-		i := int((ev.time() - r.start) / r.width)
-		if i >= len(r.buckets) {
-			i = len(r.buckets) - 1
-		}
-		r.buckets[i] = append(r.buckets[i], ev)
-	}
-	r.count = len(evs)
-	q.rungs = append(q.rungs, r)
-}
-
-// refill moves the earliest pending bucket into bottom, draining rungs and
-// top as needed. Caller guarantees the queue is non-empty.
-func (q *ladQueue) refill() {
-	for {
-		// Deepest rung holds the earliest events.
-		for len(q.rungs) > 0 {
-			r := &q.rungs[len(q.rungs)-1]
-			if r.count == 0 {
-				q.rungs = q.rungs[:len(q.rungs)-1]
-				continue
-			}
-			for len(r.buckets[r.cur]) == 0 {
-				r.cur++
-			}
-			evs := r.buckets[r.cur]
-			r.buckets[r.cur] = nil
-			r.count -= len(evs)
-			r.cur++
-			if len(evs) > ladThreshold && len(q.rungs) < ladMaxRungs && r.width > 0 {
-				lo := r.start + float64(r.cur-1)*r.width
-				q.spawn(evs, lo, lo+r.width)
-				continue
-			}
-			q.bottom = append(q.bottom, evs...)
-			sort.Slice(q.bottom, func(i, j int) bool { return evLess(q.bottom[j], q.bottom[i]) })
-			return
-		}
-		// No rungs left: scatter top into a fresh rung 0.
-		evs := q.far
-		q.far = nil
-		q.farStart = q.farMax
-		q.spawn(evs, q.farMin, q.farMax)
-	}
-}
-
-func (q *ladQueue) peek() *heapEvent {
-	if len(q.bottom) == 0 {
-		q.refill()
-	}
-	return &q.bottom[len(q.bottom)-1]
-}
-
-func (q *ladQueue) top() heapEvent { return *q.peek() }
-
-func (q *ladQueue) pop() heapEvent {
-	ev := *q.peek()
-	q.bottom = q.bottom[:len(q.bottom)-1]
-	q.n--
-	return ev
+	q.buckets[b] = s[:0]
+	q.nonEmpty[b>>6] &^= 1 << (b & 63)
+	return min
 }

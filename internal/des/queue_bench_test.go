@@ -1,24 +1,21 @@
 package des
 
-// The priority-queue shootout: the classic hold model (steady-state pop/
-// push at a random time increment) over the engine's 4-ary heap, the
-// calendar queue and the ladder queue, at queue sizes bracketing the
-// huge-run regime of the parallel simulator (a 64K-rank wavefront keeps
-// ~100K events pending per shard). Run with:
+// The hold model (steady-state pop/push at a random time increment) over
+// the engine's radix queue, at queue sizes bracketing what real runs reach
+// (a 16K-rank wavefront keeps ~16K events pending; a 64K-rank one ~100K
+// per shard). Run with:
 //
 //	go test -run '^$' -bench BenchmarkQueueHold ./internal/des/
-//
-// Results feed the README's "Priority-queue shootout" table; the engine
-// keeps whichever wins (the heap — see queue.go).
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
-func benchHold(b *testing.B, q evQueue, size int, incr func(*rand.Rand) float64) {
+func benchHold(b *testing.B, size int, incr func(*rand.Rand) float64) {
 	rng := rand.New(rand.NewSource(1))
-	q.clear()
+	var q radixQueue
 	for i := 0; i < size; i++ {
 		q.push(mkEvent(rng.Float64()*float64(size)*0.01, uint64(i)))
 	}
@@ -51,26 +48,9 @@ func BenchmarkQueueHold(b *testing.B) {
 	sizes := []int{1 << 10, 1 << 14, 1 << 17, 1 << 20}
 	for _, d := range dists {
 		for _, size := range sizes {
-			for name, q := range queueImpls() {
-				q := q
-				b.Run(d.name+"/n="+itoa(size)+"/"+name, func(b *testing.B) {
-					benchHold(b, q, size, d.incr)
-				})
-			}
+			b.Run(d.name+"/n="+strconv.Itoa(size), func(b *testing.B) {
+				benchHold(b, size, d.incr)
+			})
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -226,10 +226,10 @@ func (sh *shard) execSend(r *rankState, peer, bytes int) {
 	m.src, m.dst, m.bytes, m.ch = r.id, int32(peer), int32(bytes), ci
 	m.sendAt = ts
 	ch := &sh.channels[ci]
-	ch.msgs.pushBack(mi)
+	ch.msgs.pushBack(&sh.slab, mi)
 	// Match a posted receive, if one is waiting.
 	if ch.recvs.n > 0 {
-		m.recv = ch.recvs.popFront()
+		m.recv = ch.recvs.popFront(sh.slab)
 	}
 
 	switch {
@@ -344,13 +344,13 @@ func (sh *shard) execRecv(r *rankState, peer int) {
 	// (MPI non-overtaking ordering between a pair of ranks).
 	mi := none
 	for k := int32(0); k < ch.msgs.n; k++ {
-		if idx := ch.msgs.at(k); sh.msgs[idx].recv == none {
+		if idx := ch.msgs.at(sh.slab, k); sh.msgs[idx].recv == none {
 			mi = idx
 			break
 		}
 	}
 	if mi == none {
-		ch.recvs.pushBack(ri)
+		ch.recvs.pushBack(&sh.slab, ri)
 		return
 	}
 	m := &sh.msgs[mi]

@@ -451,9 +451,9 @@ func (s *Sim) applyMsg(p *parRun, rec *crossRec) {
 	m.proxy = rec.smsg
 	ssh.msgs[rec.smsg].proxy = mi
 	ch := &dsh.channels[ci]
-	ch.msgs.pushBack(mi)
+	ch.msgs.pushBack(&dsh.slab, mi)
 	if ch.recvs.n > 0 {
-		m.recv = ch.recvs.popFront()
+		m.recv = ch.recvs.popFront(dsh.slab)
 	}
 	if rec.rdv {
 		m.rendezvous = true

@@ -1,13 +1,18 @@
 package simmpi
 
-import "repro/internal/des"
+import (
+	"slices"
+
+	"repro/internal/des"
+)
 
 // This file holds the allocation-free bookkeeping of the simulator's hot
 // path: free-list pools of message and receive-request records addressed
-// by index, per-rank flat channel tables, and ring-buffer channel queues.
+// by index, per-rank flat channel tables, and ring-buffer channel queues
+// stored in one per-shard slab.
 //
 // Messages and receive requests are referenced everywhere by int32 pool
-// index (and carried through the event heap in Event.Arg0), never by
+// index (and carried through the event queue in Event.Arg0), never by
 // pointer, so scheduling and matching perform zero heap allocations once
 // the pools and rings reach steady-state size. Pools are per-shard: a
 // parallel run's shards never share a pool, and a message crossing shards
@@ -94,18 +99,10 @@ func (sh *shard) chanIndexIn(src, dst int32) int32 {
 	return ci
 }
 
-// claimChannel returns a fresh channel slot, re-claiming one left behind by
-// Sim.Reset (keeping its ring buffers) when possible.
+// claimChannel returns a fresh channel slot with empty rings.
 func (sh *shard) claimChannel() int32 {
-	ci := int32(len(sh.channels))
-	if int(ci) < cap(sh.channels) {
-		sh.channels = sh.channels[:ci+1]
-		sh.channels[ci].msgs.clear()
-		sh.channels[ci].recvs.clear()
-	} else {
-		sh.channels = append(sh.channels, channel{})
-	}
-	return ci
+	sh.channels = append(sh.channels, channel{})
+	return int32(len(sh.channels) - 1)
 }
 
 // channel is the per-(src, dst) pair of FIFO queues: unmatched or
@@ -122,71 +119,76 @@ type channel struct {
 // message is the queue head and removal is O(1); the ordered-remove
 // fallback is defensive only.
 func (sh *shard) unlink(ch *channel, mi int32) {
-	if ch.msgs.n > 0 && ch.msgs.at(0) == mi {
-		ch.msgs.popFront()
+	if ch.msgs.n > 0 && ch.msgs.at(sh.slab, 0) == mi {
+		ch.msgs.popFront(sh.slab)
 		return
 	}
-	ch.msgs.remove(mi)
+	ch.msgs.remove(sh.slab, mi)
 }
 
-// ring is a growable circular FIFO of pool indices. The backing array's
-// length is always a power of two so position wrap-around is a mask.
+// ring is a growable circular FIFO of pool indices. Its elements live in
+// a region of the owning shard's slab, so the tens of thousands of rings a
+// large run creates share one growing array instead of each allocating its
+// own. The region's size is zero or a power of two, so position wrap-around
+// is a mask. Growing a ring moves it to a fresh region at the end of the
+// slab; the old region stays unused until Sim.Reset empties the slab, which
+// at most doubles the slab over the rings' live sizes.
 type ring struct {
-	buf  []int32
+	off  int32 // region start in the slab
+	size int32 // region length
 	head int32
 	n    int32
 }
 
-// clear empties the ring, keeping its backing array.
-func (q *ring) clear() { q.head, q.n = 0, 0 }
-
 // at returns the k-th element from the front, 0 ≤ k < n.
-func (q *ring) at(k int32) int32 {
-	return q.buf[int(q.head+k)&(len(q.buf)-1)]
+func (q *ring) at(slab []int32, k int32) int32 {
+	return slab[q.off+((q.head+k)&(q.size-1))]
 }
 
-func (q *ring) set(k, v int32) {
-	q.buf[int(q.head+k)&(len(q.buf)-1)] = v
+func (q *ring) set(slab []int32, k, v int32) {
+	slab[q.off+((q.head+k)&(q.size-1))] = v
 }
 
-func (q *ring) pushBack(v int32) {
-	if int(q.n) == len(q.buf) {
-		q.grow()
+func (q *ring) pushBack(slab *[]int32, v int32) {
+	if q.n == q.size {
+		q.grow(slab)
 	}
-	q.buf[int(q.head+q.n)&(len(q.buf)-1)] = v
+	q.set(*slab, q.n, v)
 	q.n++
 }
 
-func (q *ring) popFront() int32 {
-	v := q.buf[q.head]
-	q.head = int32(int(q.head+1) & (len(q.buf) - 1))
+func (q *ring) popFront(slab []int32) int32 {
+	v := q.at(slab, 0)
+	q.head = (q.head + 1) & (q.size - 1)
 	q.n--
 	return v
 }
 
 // remove deletes the first occurrence of v, preserving FIFO order.
-func (q *ring) remove(v int32) {
+func (q *ring) remove(slab []int32, v int32) {
 	for k := int32(0); k < q.n; k++ {
-		if q.at(k) != v {
+		if q.at(slab, k) != v {
 			continue
 		}
 		for j := k; j+1 < q.n; j++ {
-			q.set(j, q.at(j+1))
+			q.set(slab, j, q.at(slab, j+1))
 		}
 		q.n--
 		return
 	}
 }
 
-func (q *ring) grow() {
-	capNew := len(q.buf) * 2
-	if capNew == 0 {
-		capNew = 4
+// grow moves the ring to a region of twice its size at the end of the slab.
+func (q *ring) grow(slab *[]int32) {
+	size := 2 * q.size
+	if size == 0 {
+		size = 4
 	}
-	buf := make([]int32, capNew)
+	off := int32(len(*slab))
+	s := slices.Grow(*slab, int(size))[:int(off+size)]
+	*slab = s
 	for k := int32(0); k < q.n; k++ {
-		buf[k] = q.at(k)
+		s[off+k] = q.at(s, k)
 	}
-	q.buf = buf
-	q.head = 0
+	q.off, q.size, q.head = off, size, 0
 }

@@ -8,6 +8,7 @@ package simmpi_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -242,5 +243,48 @@ func TestResetAllocsNearZero(t *testing.T) {
 	// Result carries two fresh per-rank slices; everything else must reuse.
 	if allocs > 8 {
 		t.Errorf("reset run allocates too much: %.1f allocs/run, want ≤ 8", allocs)
+	}
+}
+
+// TestFreshRunAllocsPerEvent is the roadmap's allocation guard for large
+// runs: a fresh 4,096-rank Sweep3D set-up plus run — schedule, topology,
+// simulator, programs and the simulation itself — must stay at or below
+// 0.01 heap allocations per simulated event. Op templates, channel rings
+// and event buckets all grow in place, so nothing allocates per message.
+func TestFreshRunAllocsPerEvent(t *testing.T) {
+	g := grid.NewGrid(64, 64, 32)
+	bm, err := apps.Preset("sweep3d", g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm = bm.WithIterations(1)
+	dec, err := grid.SquareDecomposition(g, 64*64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mach := machine.XT4()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sched, err := bm.Schedule(dec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := simnet.NewMachineTopology(mach, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := simmpi.New(topo)
+	for r, p := range sched.Programs() {
+		sim.SetProgram(r, p)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.Events)
+	t.Logf("%d allocs over %d events: %.4f per event", after.Mallocs-before.Mallocs, res.Events, perEvent)
+	if perEvent > 0.01 {
+		t.Errorf("fresh 4096-rank run: %.4f allocs per event, want ≤ 0.01", perEvent)
 	}
 }

@@ -177,7 +177,7 @@ type Tracer interface {
 
 // Sim is a configured simulation instance. A Sim may be run once; call
 // Reset to rebind it to a (possibly different) topology and run it again
-// reusing the event heap, message pools and channel tables of the previous
+// reusing the event queue, message pools and channel tables of the previous
 // run.
 type Sim struct {
 	topo   *simnet.Topology
@@ -270,8 +270,10 @@ type shard struct {
 	// implementation (golden_test.go).
 	canon bool
 
-	// Pooled hot-path state (pool.go).
+	// Pooled hot-path state (pool.go). slab holds the elements of every
+	// channel ring.
 	channels []channel
+	slab     []int32
 	msgs     []message
 	msgFree  []int32
 	reqs     []recvReq
@@ -341,7 +343,7 @@ func (sh *shard) bind() {
 // keeping every backing array (see Sim.Reset).
 func (sh *shard) clear() {
 	sh.eng.Reset()
-	sh.channels = sh.channels[:0]
+	sh.channels, sh.slab = sh.channels[:0], sh.slab[:0]
 	sh.msgs, sh.msgFree = sh.msgs[:0], sh.msgFree[:0]
 	sh.reqs, sh.reqFree = sh.reqs[:0], sh.reqFree[:0]
 	sh.running, sh.sends, sh.recvs, sh.bytes = 0, 0, 0, 0
@@ -353,7 +355,7 @@ func (sh *shard) clear() {
 }
 
 // Reset prepares the Sim for another run over the given topology,
-// retaining the capacity of every internal pool — the event heap, the
+// retaining the capacity of every internal pool — the event queue, the
 // message and receive-request free lists, the channel rings and the
 // per-rank tables — so that back-to-back simulations of similar size
 // perform near-zero heap allocations after the first. All programs, the
@@ -379,8 +381,8 @@ func (s *Sim) Reset(topo *simnet.Topology) {
 		s.ranks[i] = rankState{id: int32(i), out: out[:0], in: in[:0], coll: coll[:0]}
 	}
 	// Truncating (not clearing) keeps backing arrays; chanIndex re-claims
-	// channel slots ring buffers included, and AllocSlot repopulates the
-	// pools in the same order a fresh Sim would.
+	// channel slots and ring regions, and AllocSlot repopulates the pools
+	// in the same order a fresh Sim would.
 	s.arGens = s.arGens[:0]
 	s.tracer = nil
 	s.obs = nil

@@ -162,7 +162,8 @@ type Schedule struct {
 
 	// InterOps, if non-nil, returns the operations a rank performs between
 	// iterations (Tnonwavefront): e.g. two 8-byte all-reduces for Sweep3D,
-	// one for Chimaera, or a stencil exchange for LU.
+	// one for Chimaera, or a stencil exchange for LU. Programs only read
+	// the returned slice, so one slice may serve every rank.
 	InterOps func(rank int) []simmpi.Op
 
 	// ConvBytes, when positive, appends a per-iteration convergence
@@ -218,14 +219,15 @@ func (s *Schedule) Validate() error {
 // TilesPerStack returns the number of tiles per sweep per rank, Nz/Htile.
 func (s *Schedule) TilesPerStack() int { return s.Dec.TilesPerStack(s.Htile) }
 
-// sweepOps builds the per-tile operation template of one rank for one
-// sweep: [Wpre] [RecvW] [RecvN] [Compute W] [SendE] [SendS], where the
-// west/north/east/south roles are relative to the sweep direction
-// (paper Figure 4: LU pre-computes before the receives).
-func (s *Schedule) sweepOps(rank int, corner grid.Corner) []simmpi.Op {
+// sweepOps writes the per-tile operation template of one rank for one
+// sweep into dst's backing array and returns it: [Wpre] [RecvW] [RecvN]
+// [Compute W] [SendE] [SendS], where the west/north/east/south roles are
+// relative to the sweep direction (paper Figure 4: LU pre-computes before
+// the receives). dst must have room for six ops.
+func (s *Schedule) sweepOps(dst []simmpi.Op, rank int, corner grid.Corner) []simmpi.Op {
 	c := s.Dec.CoordOf(rank)
 	di, dj := corner.Step()
-	ops := make([]simmpi.Op, 0, 6)
+	ops := dst[:0]
 	if s.WPre > 0 {
 		ops = append(ops, simmpi.Compute(s.WPre))
 	}
@@ -248,45 +250,48 @@ func (s *Schedule) sweepOps(rank int, corner grid.Corner) []simmpi.Op {
 // Program returns rank's lazily-generated MPI program for the whole run:
 // Iterations × (sweeps × tiles + inter-iteration operations).
 func (s *Schedule) Program(rank int) simmpi.Program {
-	p := &rankProgram{sched: s, rank: rank}
+	p := &rankProgram{sched: s, rank: int32(rank)}
 	p.loadSweep()
 	return p
 }
 
 // rankProgram is the lazy program iterator for one rank. Programs for large
-// runs have millions of operations; only the current sweep's 6-op template
-// is materialised.
+// runs have millions of operations; only the current sweep's template is
+// materialised, in place in ops, so advancing a sweep allocates nothing.
+// The counters are int32 to keep the struct, one per rank, in a smaller
+// size class.
 type rankProgram struct {
 	sched *Schedule
-	rank  int
+	inter []simmpi.Op
+	ops   [6]simmpi.Op // the current sweep's per-tile template
 
-	iter  int // current iteration
-	sweep int // current sweep within the iteration
-	tile  int // current tile within the sweep
-	stage int // index into tileOps
+	rank  int32
+	iter  int32 // current iteration
+	sweep int32 // current sweep within the iteration
+	tile  int32 // current tile within the sweep
+	stage int32 // index into ops
+	nops  int32 // template length
 
-	tileOps  []simmpi.Op
-	inter    []simmpi.Op
-	interIx  int
+	interIx  int32
 	inInter  bool
 	convDone bool // convergence all-reduce emitted for this iteration
 	done     bool
 
 	// preIx and wIx locate the pre-receive and post-receive compute ops
-	// inside tileOps when a Tile cost function is attached; -1 when
-	// absent. sweepOps allocates the template fresh per sweep, so
-	// patching durations in place is safe.
-	preIx, wIx int
+	// inside ops when a Tile cost function is attached; -1 when absent.
+	// The template belongs to this rank alone, so patching durations in
+	// place is safe.
+	preIx, wIx int32
 }
 
 func (p *rankProgram) loadSweep() {
-	p.tileOps = p.sched.sweepOps(p.rank, p.sched.Corners[p.sweep])
+	p.nops = int32(len(p.sched.sweepOps(p.ops[:0], int(p.rank), p.sched.Corners[p.sweep])))
 	p.tile = 0
 	p.stage = 0
 	if p.sched.Tile != nil {
 		p.preIx, p.wIx = -1, -1
-		for i := range p.tileOps {
-			if p.tileOps[i].Kind == simmpi.OpCompute {
+		for i := int32(0); i < p.nops; i++ {
+			if p.ops[i].Kind == simmpi.OpCompute {
 				if p.wIx >= 0 { // second compute: the first was the pre-compute
 					p.preIx, p.wIx = p.wIx, i
 				} else {
@@ -301,7 +306,7 @@ func (p *rankProgram) loadSweep() {
 // patchTile rewrites the current tile's compute durations from the
 // schedule's Tile cost function.
 func (p *rankProgram) patchTile() {
-	mul, extra := p.sched.Tile(p.rank, p.sweep, p.tile)
+	mul, extra := p.sched.Tile(int(p.rank), int(p.sweep), int(p.tile))
 	if mul < 0 {
 		mul = 0
 	}
@@ -309,17 +314,17 @@ func (p *rankProgram) patchTile() {
 		extra = 0
 	}
 	if p.preIx >= 0 {
-		p.tileOps[p.preIx].Dur = p.sched.WPre * mul
+		p.ops[p.preIx].Dur = p.sched.WPre * mul
 	}
-	p.tileOps[p.wIx].Dur = p.sched.W*mul + extra
+	p.ops[p.wIx].Dur = p.sched.W*mul + extra
 }
 
 // Next implements simmpi.Program. The within-tile case is the hot path —
 // the simulator calls Next once per operation — so it is split from the
 // tile/sweep/iteration bookkeeping.
 func (p *rankProgram) Next() (simmpi.Op, bool) {
-	if p.stage < len(p.tileOps) && !p.inInter && !p.done {
-		op := p.tileOps[p.stage]
+	if p.stage < p.nops && !p.inInter && !p.done {
+		op := p.ops[p.stage]
 		p.stage++
 		return op, true
 	}
@@ -334,7 +339,7 @@ func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
 			return simmpi.Op{}, false
 		}
 		if p.inInter {
-			if p.interIx < len(p.inter) {
+			if int(p.interIx) < len(p.inter) {
 				op := p.inter[p.interIx]
 				p.interIx++
 				return op, true
@@ -349,22 +354,22 @@ func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
 			}
 			p.inInter = false
 			p.iter++
-			if p.iter >= s.Iterations {
+			if int(p.iter) >= s.Iterations {
 				p.done = true
 				return simmpi.Op{}, false
 			}
 			p.sweep = 0
 			p.loadSweep()
 		}
-		if p.stage < len(p.tileOps) {
-			op := p.tileOps[p.stage]
+		if p.stage < p.nops {
+			op := p.ops[p.stage]
 			p.stage++
 			return op, true
 		}
 		// Tile finished.
 		p.tile++
 		p.stage = 0
-		if p.tile < s.TilesPerStack() {
+		if int(p.tile) < s.TilesPerStack() {
 			if s.Tile != nil {
 				p.patchTile()
 			}
@@ -372,7 +377,7 @@ func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
 		}
 		// Sweep finished.
 		p.sweep++
-		if p.sweep < len(s.Corners) {
+		if int(p.sweep) < len(s.Corners) {
 			p.loadSweep()
 			continue
 		}
@@ -382,7 +387,7 @@ func (p *rankProgram) nextSlow() (simmpi.Op, bool) {
 		p.interIx = 0
 		p.convDone = false
 		if s.InterOps != nil {
-			p.inter = s.InterOps(p.rank)
+			p.inter = s.InterOps(int(p.rank))
 		} else {
 			p.inter = nil
 		}
@@ -400,15 +405,13 @@ func (s *Schedule) Programs() []simmpi.Program {
 
 // AllReduceInter returns an InterOps function performing count 8-byte
 // all-reduces, the Tnonwavefront of Sweep3D (count = 2) and Chimaera
-// (count = 1), per paper Table 3.
+// (count = 1), per paper Table 3. Every rank gets the same read-only slice.
 func AllReduceInter(count int) func(rank int) []simmpi.Op {
-	return func(int) []simmpi.Op {
-		ops := make([]simmpi.Op, count)
-		for i := range ops {
-			ops[i] = simmpi.AllReduce(8)
-		}
-		return ops
+	ops := make([]simmpi.Op, count)
+	for i := range ops {
+		ops[i] = simmpi.AllReduce(8)
 	}
+	return func(int) []simmpi.Op { return ops }
 }
 
 // StencilInter returns an InterOps function modelling LU's four-point
