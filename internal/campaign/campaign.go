@@ -2,7 +2,7 @@
 // specification of a cartesian sweep — applications × machines × rank
 // counts × LogGP parameter overrides — expands it into a deterministic run
 // list, and executes the runs concurrently on a worker pool in which each
-// worker owns one reusable simulator (simmpi.Sim.Reset), so the
+// worker owns one reusable simulator (simmpi.Sim.ResetWithOptions), so the
 // allocation-free core is amortised across thousands of runs.
 //
 // This is the paper's plug-and-play workflow at fleet scale: instead of one
@@ -42,7 +42,7 @@ type Spec struct {
 	// Iterations is the wavefront iteration count of every run (default 1).
 	Iterations int `json:"iterations,omitempty"`
 	// Shards is the conservative-parallel shard count each simulator uses
-	// (simmpi.Sim.SetShards). Results are bit-identical for every sharded
+	// (simmpi.Options.Shards). Results are bit-identical for every sharded
 	// count (k ≥ 2), making this a pure throughput knob for huge-rank
 	// campaigns; 0 or 1 keeps the serial engine, whose legacy same-time
 	// tie order can differ microscopically in bus-contention statistics
@@ -322,10 +322,15 @@ func (s Spec) Validate() error {
 	if len(s.Ranks) == 0 {
 		return fmt.Errorf("campaign: spec %q has no rank counts — add at least one entry to \"ranks\"", s.Name)
 	}
+	seenRanks := map[int]bool{}
 	for i, p := range s.Ranks {
 		if p <= 0 {
 			return fmt.Errorf("campaign: spec %q rank count #%d is %d — rank counts must be positive", s.Name, i, p)
 		}
+		if seenRanks[p] {
+			return fmt.Errorf("campaign: spec %q lists rank count %d twice", s.Name, p)
+		}
+		seenRanks[p] = true
 	}
 	seenApp := map[string]bool{}
 	for i, a := range s.Apps {

@@ -100,6 +100,11 @@ func TestSpecErrors(t *testing.T) {
 			"must be positive",
 		},
 		{
+			"duplicate rank count",
+			`{"name": "x", "apps": [{"preset": "lu", "grid": {"nx":8,"ny":8,"nz":8}}], "machines": [{"preset": "xt4"}], "ranks": [16, 16]}`,
+			"rank count 16 twice",
+		},
+		{
 			"unknown preset",
 			`{"name": "x", "apps": [{"preset": "hydra", "grid": {"nx":8,"ny":8,"nz":8}}], "machines": [{"preset": "xt4"}], "ranks": [4]}`,
 			"unknown app preset",
@@ -189,7 +194,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	encode := func(workers int) []byte {
-		res, err := Engine{Workers: workers}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: workers}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +235,7 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Engine{Workers: 2, Shards: engineShards}.Execute(runs)
+		res, err := newEngine(t, Config{Workers: 2, Shards: engineShards}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +269,7 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 4}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 4}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +390,7 @@ func TestHtileSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 2}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +422,7 @@ func TestConvergenceSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{Workers: 2}.ExecuteSpec(s)
+	res, err := newEngine(t, Config{Workers: 2}).ExecuteSpec(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,17 +205,13 @@ type ExecStats struct {
 	CheckpointHits int `json:"checkpoint_hits"`
 }
 
-// execCounters is the engine's shared mutable stats box. Engine methods
-// use value receivers, so the counters live behind a pointer.
+// execCounters is the engine's mutable stats box.
 type execCounters struct {
 	mu sync.Mutex
 	s  ExecStats
 }
 
 func (c *execCounters) add(delta ExecStats) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.s.Runs += delta.Runs
 	c.s.Simulated += delta.Simulated
@@ -225,9 +221,6 @@ func (c *execCounters) add(delta ExecStats) {
 }
 
 func (c *execCounters) snapshot() ExecStats {
-	if c == nil {
-		return ExecStats{Schema: SchemaVersion}
-	}
 	c.mu.Lock()
 	s := c.s
 	c.mu.Unlock()
@@ -245,15 +238,5 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Version == 0 {
 		cfg.Version = SchemaVersion
 	}
-	return &Engine{
-		Workers:  cfg.Workers,
-		Shards:   cfg.Shards,
-		Progress: cfg.Progress,
-		Hist:     cfg.Hist,
-		Obs:      cfg.Obs,
-		ObsRun:   cfg.ObsRun,
-
-		cfg:   &cfg,
-		stats: &execCounters{},
-	}, nil
+	return &Engine{cfg: cfg}, nil
 }

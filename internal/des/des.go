@@ -14,9 +14,6 @@
 // encodes each state-machine transition as a Kind and small integer
 // operands (a rank index, a pooled-object index) in the args.
 //
-// A thin closure-compatible wrapper (Schedule, At) remains for callers that
-// prefer func() events; both styles share one clock and one ordering.
-//
 // Events scheduled for the same virtual time fire in the order they were
 // scheduled, which makes simulations bit-for-bit reproducible.
 package des
@@ -37,8 +34,6 @@ type Engine struct {
 	events3 eventHeap3 // canonically ordered events (AtPri / AtPriCtx)
 	pay     []payload  // pending-event payloads, indexed by order slot
 	payFree []int32
-	fns     []func() // closure registry, indexed by closure payloads' arg0
-	fnFree  []int32
 }
 
 // AllocSlot pops an index off a free list (resetting that record) or
@@ -79,10 +74,6 @@ func (e *Engine) Reset() {
 	e.events.clear()
 	e.events3.clear()
 	e.pay, e.payFree = e.pay[:0], e.payFree[:0]
-	for i := range e.fns {
-		e.fns[i] = nil // release closures of any abandoned pending events
-	}
-	e.fns, e.fnFree = e.fns[:0], e.fnFree[:0]
 }
 
 // Now returns the current virtual time in microseconds.
@@ -95,42 +86,18 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 func (e *Engine) Pending() int { return e.events.len() + e.events3.len() }
 
 // SetHandler installs the dispatcher for typed events. It must be set
-// before the first typed event fires; closure events do not need it.
+// before the first event fires.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
-// Schedule runs fn after the given non-negative delay of virtual time.
-func (e *Engine) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	e.At(e.now+delay, fn)
-}
-
-// At runs fn at absolute virtual time t, which must not be in the past.
-func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
-	}
-	e.pushEvent(t, kindClosure, AllocSlot(&e.fns, &e.fnFree, fn), 0)
-}
-
-// ScheduleKind schedules a typed event after the given non-negative delay.
-func (e *Engine) ScheduleKind(delay float64, k Kind, arg0, arg1 int32) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: invalid delay %v", delay))
-	}
-	e.AtKind(e.now+delay, k, arg0, arg1)
-}
-
 // AtKind schedules a typed event at absolute virtual time t, which must not
-// be in the past. The kind must be non-zero (zero is reserved for closure
-// events); it is delivered to the Handler with the given args.
+// be in the past. The kind must be non-zero (see Kind); it is delivered to
+// the Handler with the given args.
 func (e *Engine) AtKind(t float64, k Kind, arg0, arg1 int32) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
 	}
-	if k == kindClosure {
-		panic("des: kind 0 is reserved for closure events")
+	if k == 0 {
+		panic("des: event kind 0 is invalid")
 	}
 	e.pushEvent(t, k, arg0, arg1)
 }
@@ -164,8 +131,8 @@ func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) 
 	if ctx < 0 || ctx > t || math.IsNaN(ctx) {
 		panic(fmt.Sprintf("des: scheduling context %v outside [0, %v]", ctx, t))
 	}
-	if k == kindClosure {
-		panic("des: kind 0 is reserved for closure events")
+	if k == 0 {
+		panic("des: event kind 0 is invalid")
 	}
 	if pri > maxPri {
 		panic(fmt.Sprintf("des: event priority %#x exceeds %d bits", pri, 64-slotBits))
@@ -211,13 +178,6 @@ func (e *Engine) Step() bool {
 	e.payFree = append(e.payFree, slot)
 	e.now = ev.time()
 	e.ran++
-	if p.kind == kindClosure {
-		fn := e.fns[p.arg0]
-		e.fns[p.arg0] = nil
-		e.fnFree = append(e.fnFree, p.arg0)
-		fn()
-		return true
-	}
 	if e.handler == nil {
 		panic(fmt.Sprintf("des: typed event kind %d with no handler installed", p.kind))
 	}
@@ -228,7 +188,7 @@ func (e *Engine) Step() bool {
 // stepCanonical executes the next canonically ordered event (AtPriCtx).
 func (e *Engine) stepCanonical() bool {
 	if e.events.len() > 0 {
-		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind/At) events pending in one engine")
+		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind) events pending in one engine")
 	}
 	ev := e.events3.pop()
 	slot := int32(ev.order & slotMask)
@@ -251,8 +211,9 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// topTime returns the earliest pending timestamp across both orderings.
-func (e *Engine) topTime() (t float64, ok bool) {
+// NextEventTime returns the timestamp of the earliest pending event across
+// both orderings, or ok == false when no events are pending.
+func (e *Engine) NextEventTime() (t float64, ok bool) {
 	if e.events3.len() > 0 {
 		return e.events3.top().time(), true
 	}
@@ -262,40 +223,19 @@ func (e *Engine) topTime() (t float64, ok bool) {
 	return 0, false
 }
 
-// RunUntil executes events with timestamps ≤ t, then advances the clock to
-// t if it has not already passed it.
-func (e *Engine) RunUntil(t float64) {
-	for {
-		next, ok := e.topTime()
-		if !ok || next > t {
-			break
-		}
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
 // RunBefore executes events with timestamps strictly less than t and leaves
-// the clock at the last executed event. Unlike RunUntil it never advances
-// the clock artificially, so events delivered later for times in [now, t)
+// the clock at the last executed event. It never advances the clock
+// artificially, so events delivered later for times in [now, t)
 // remain schedulable — the property the sharded scheduler (Group) relies on
 // when it injects cross-shard events at window barriers.
 func (e *Engine) RunBefore(t float64) {
 	for {
-		next, ok := e.topTime()
+		next, ok := e.NextEventTime()
 		if !ok || next >= t {
 			break
 		}
 		e.Step()
 	}
-}
-
-// NextEventTime returns the timestamp of the earliest pending event, or
-// ok == false when no events are pending.
-func (e *Engine) NextEventTime() (t float64, ok bool) {
-	return e.topTime()
 }
 
 // Resource models a single FCFS server (e.g. a node's shared memory bus).

@@ -10,10 +10,11 @@ import (
 
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []float64
 	for _, d := range []float64{5, 1, 3, 2, 4} {
 		d := d
-		e.Schedule(d, func() { order = append(order, d) })
+		f.after(d, func() { order = append(order, d) })
 	}
 	end := e.Run()
 	if end != 5 {
@@ -29,10 +30,11 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 
 func TestSameTimeEventsFIFO(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1.0, func() { order = append(order, i) })
+		f.at(1.0, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -44,57 +46,15 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 
 func TestNestedScheduling(t *testing.T) {
 	var e Engine
+	f := newFuncs(&e)
 	var hits []float64
-	e.Schedule(1, func() {
+	f.after(1, func() {
 		hits = append(hits, e.Now())
-		e.Schedule(2, func() { hits = append(hits, e.Now()) })
+		f.after(2, func() { hits = append(hits, e.Now()) })
 	})
 	e.Run()
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
 		t.Errorf("hits = %v", hits)
-	}
-}
-
-func TestSchedulePanicsOnNegativeDelay(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.Schedule(-1, func() {})
-}
-
-func TestAtPanicsOnPast(t *testing.T) {
-	var e Engine
-	e.Schedule(5, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	e.At(1, func() {})
-}
-
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(10, func() { fired++ })
-	e.RunUntil(5)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 10 {
-		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
 	}
 }
 
@@ -181,6 +141,7 @@ func TestResourceConservationProperty(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		var e Engine
+		f := newFuncs(&e)
 		var log []float64
 		rng := rand.New(rand.NewSource(7))
 		var rec func(depth int)
@@ -188,11 +149,11 @@ func TestDeterminism(t *testing.T) {
 			log = append(log, e.Now())
 			if depth < 3 {
 				for i := 0; i < 2; i++ {
-					e.Schedule(rng.Float64(), func() { rec(depth + 1) })
+					f.after(rng.Float64(), func() { rec(depth + 1) })
 				}
 			}
 		}
-		e.Schedule(0, func() { rec(0) })
+		f.after(0, func() { rec(0) })
 		e.Run()
 		return log
 	}
@@ -220,26 +181,11 @@ func TestTypedEventsDispatch(t *testing.T) {
 		got = append(got, fired{ev.Kind, ev.Arg0, ev.Arg1, e.Now()})
 	})
 	e.AtKind(2, 7, 10, 20)
-	e.ScheduleKind(1, 3, -1, 0)
+	e.AtKind(1, 3, -1, 0)
 	e.Run()
 	want := []fired{{3, -1, 0, 1}, {7, 10, 20, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch = %v, want %v", got, want)
-	}
-}
-
-func TestTypedAndClosureEventsShareOrdering(t *testing.T) {
-	var e Engine
-	var order []string
-	e.SetHandler(func(ev Event) { order = append(order, "typed") })
-	// Same timestamp: scheduling order must decide, regardless of style.
-	e.At(1, func() { order = append(order, "closure") })
-	e.AtKind(1, 1, 0, 0)
-	e.At(1, func() { order = append(order, "closure") })
-	e.Run()
-	want := []string{"closure", "typed", "closure"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
 	}
 }
 
@@ -249,7 +195,7 @@ func TestTypedEventSeqMonotonic(t *testing.T) {
 	e.SetHandler(func(ev Event) {
 		seqs = append(seqs, ev.Seq)
 		if len(seqs) < 5 {
-			e.ScheduleKind(1, 1, 0, 0)
+			e.AtKind(e.Now()+1, 1, 0, 0)
 		}
 	})
 	e.AtKind(0, 1, 0, 0)
@@ -311,12 +257,12 @@ func TestHeapStressOrdering(t *testing.T) {
 		// Keep the heap churning with bursts of future events.
 		if e.EventsRun() < 5000 {
 			for i := 0; i < rng.Intn(4); i++ {
-				e.ScheduleKind(rng.Float64()*3, 1, 0, 0)
+				e.AtKind(e.Now()+rng.Float64()*3, 1, 0, 0)
 			}
 		}
 	})
 	for i := 0; i < 100; i++ {
-		e.ScheduleKind(rng.Float64(), 1, 0, 0)
+		e.AtKind(rng.Float64(), 1, 0, 0)
 	}
 	e.Run()
 	if violations != 0 {
@@ -327,29 +273,13 @@ func TestHeapStressOrdering(t *testing.T) {
 	}
 }
 
-func TestRunUntilWithTypedEvents(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.SetHandler(func(Event) { fired++ })
-	e.AtKind(1, 1, 0, 0)
-	e.AtKind(10, 1, 0, 0)
-	e.RunUntil(5)
-	if fired != 1 || e.Now() != 5 || e.Pending() != 1 {
-		t.Errorf("fired=%d now=%v pending=%d", fired, e.Now(), e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 10 {
-		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
-	}
-}
-
 func TestEngineReset(t *testing.T) {
 	var e Engine
 	var order []int32
 	e.SetHandler(func(ev Event) { order = append(order, ev.Arg0) })
 	e.AtKind(2, 1, 0, 0)
 	e.AtKind(1, 1, 1, 0)
-	e.Schedule(3, func() { order = append(order, 99) })
+	e.AtKind(3, 1, 99, 0)
 	e.Run()
 
 	e.Reset()
@@ -361,7 +291,7 @@ func TestEngineReset(t *testing.T) {
 	order = nil
 	e.AtKind(2, 1, 0, 0)
 	e.AtKind(1, 1, 1, 0)
-	e.Schedule(3, func() { order = append(order, 99) })
+	e.AtKind(3, 1, 99, 0)
 	end := e.Run()
 	if end != 3 || len(order) != 3 || order[0] != 1 || order[1] != 0 || order[2] != 99 {
 		t.Errorf("replay after reset: end=%v order=%v", end, order)
@@ -370,10 +300,14 @@ func TestEngineReset(t *testing.T) {
 
 func TestEngineResetDropsAbandonedEvents(t *testing.T) {
 	var e Engine
-	e.SetHandler(func(Event) {})
+	e.SetHandler(func(ev Event) {
+		if ev.Kind == 2 {
+			t.Error("abandoned event fired")
+		}
+	})
 	e.AtKind(1, 1, 0, 0)
-	e.At(5, func() { t.Error("abandoned closure fired") })
-	e.RunUntil(2) // leaves the closure pending
+	e.AtKind(5, 2, 0, 0)
+	e.RunBefore(2) // leaves the kind-2 event pending
 	e.Reset()
 	if e.Run() != 0 {
 		t.Error("reset engine ran abandoned events")

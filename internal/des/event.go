@@ -2,16 +2,11 @@ package des
 
 import "math"
 
-// Kind identifies the dispatch target of a typed event. Kind 0 is reserved
-// for closure events scheduled through At and Schedule; packages built on
+// Kind identifies the dispatch target of a typed event. Packages built on
 // the engine define their own kinds starting at 1 and receive them through
-// the Handler installed with SetHandler.
+// the Handler installed with SetHandler. Kind 0, the zero value, is never
+// valid: scheduling it panics, so an unset kind fails loudly.
 type Kind uint16
-
-// kindClosure marks events scheduled via the closure-compatible API; their
-// Arg0 indexes the engine's closure registry and the Handler is not
-// consulted.
-const kindClosure Kind = 0
 
 // Event is a typed event record as delivered to a Handler. Scheduling one
 // performs no heap allocation (beyond amortised growth of the engine's
@@ -34,7 +29,7 @@ type Event struct {
 }
 
 // Handler dispatches typed events. Exactly one handler serves an engine;
-// it switches on ev.Kind. It is never called for closure events.
+// it switches on ev.Kind.
 type Handler func(ev Event)
 
 // The queued representation is a 16-byte key pair; the event's

@@ -1,61 +1,29 @@
-// Package trace records per-rank activity spans from the discrete-event
-// simulator and turns them into the bottleneck analyses of paper Section
-// 5.4: computation/communication/idle breakdowns per rank, aggregate
-// pipeline statistics, identification of the critical (busiest and most
-// comm-bound) ranks, and a plain-text Gantt rendering for inspection.
+package obs
+
+// Text renderers for the paper Section 5.4 bottleneck analysis: per-rank
+// computation/communication breakdowns, aggregate pipeline statistics, the
+// critical (busiest and most comm-bound) ranks, and a plain-text Gantt
+// chart. The model predicts these breakdowns (Figure 11); the renderers
+// measure them from a recorded run's spans (Recorder.SpanList), so model
+// abstraction error is visible at per-rank granularity.
 //
-// The model predicts these breakdowns (Figure 11); the trace measures them
-// from the simulated execution, so model abstraction error is visible at
-// per-rank granularity.
-package trace
+// Every renderer accumulates per rank only, so its result depends on each
+// rank's chronological span order and not on how ranks interleave.
 
 import (
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/simmpi"
 )
-
-// Span is one recorded activity interval of a rank.
-type Span struct {
-	Rank       int
-	Op         simmpi.OpKind
-	Peer       int // -1 for compute and all-reduce
-	Bytes      int
-	Start, End float64
-}
-
-// Duration returns the span length in µs.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
-// Recorder implements simmpi.Tracer by accumulating spans.
-type Recorder struct {
-	spans []Span
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Span implements simmpi.Tracer.
-func (r *Recorder) Span(rank int, op simmpi.OpKind, peer, bytes int, start, end float64) {
-	r.spans = append(r.spans, Span{Rank: rank, Op: op, Peer: peer, Bytes: bytes, Start: start, End: end})
-}
-
-// Spans returns all recorded spans in recording order.
-func (r *Recorder) Spans() []Span { return r.spans }
-
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int { return len(r.spans) }
 
 // RankProfile is the activity breakdown of one rank over a run.
 type RankProfile struct {
 	Rank    int
-	Compute float64 // time in Compute spans
+	Compute float64 // time in compute spans
 	Send    float64 // time blocked in sends
 	Recv    float64 // time blocked in receives (includes pipeline waiting)
-	Coll    float64 // time in collectives
+	Coll    float64 // time in closed-form all-reduces
 	Finish  float64 // time of the rank's last span end
 }
 
@@ -75,26 +43,26 @@ func (p RankProfile) CommShare() float64 {
 	return p.Comm() / p.Finish
 }
 
-// Profile aggregates a recording into per-rank profiles, indexed by rank.
-func (r *Recorder) Profile(ranks int) []RankProfile {
+// Profile aggregates spans into per-rank profiles, indexed by rank.
+func Profile(spans []Span, ranks int) []RankProfile {
 	out := make([]RankProfile, ranks)
 	for i := range out {
 		out[i].Rank = i
 	}
-	for _, s := range r.spans {
-		if s.Rank < 0 || s.Rank >= ranks {
+	for _, s := range spans {
+		if s.Rank < 0 || int(s.Rank) >= ranks {
 			continue
 		}
 		p := &out[s.Rank]
-		d := s.Duration()
-		switch s.Op {
-		case simmpi.OpCompute:
+		d := s.End - s.Start
+		switch s.Kind {
+		case SpanCompute:
 			p.Compute += d
-		case simmpi.OpSend:
+		case SpanSend:
 			p.Send += d
-		case simmpi.OpRecv:
+		case SpanRecv:
 			p.Recv += d
-		case simmpi.OpAllReduce:
+		case SpanAllReduce:
 			p.Coll += d
 		}
 		if s.End > p.Finish {
@@ -159,13 +127,13 @@ func TopCommBound(profiles []RankProfile, k int) []RankProfile {
 
 // Gantt renders a plain-text activity chart: one row per rank, buckets
 // labelled by the dominant activity in that time slice (c = compute,
-// s = send, r = recv, a = all-reduce, · = idle/none).
-func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
+// s = send, r = recv, a = all-reduce, . = none).
+func Gantt(w io.Writer, spans []Span, ranks, width int) {
 	if width <= 0 {
 		width = 80
 	}
 	var end float64
-	for _, s := range r.spans {
+	for _, s := range spans {
 		if s.End > end {
 			end = s.End
 		}
@@ -175,11 +143,11 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 		return
 	}
 	bucket := end / float64(width)
-	// For each rank and bucket, pick the op covering the most time.
-	type cell [4]float64 // compute, send, recv, coll
+	// For each rank and bucket, pick the kind covering the most time.
+	type cell [4]float64 // compute, send, recv, allreduce
 	cells := make([]cell, ranks*width)
-	for _, s := range r.spans {
-		if s.Rank < 0 || s.Rank >= ranks {
+	for _, s := range spans {
+		if s.Rank < 0 || int(s.Rank) >= ranks || s.Kind > SpanAllReduce {
 			continue
 		}
 		b0 := int(s.Start / bucket)
@@ -190,13 +158,9 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 		for b := b0; b <= b1; b++ {
 			lo := float64(b) * bucket
 			hi := lo + bucket
-			overlap := minF(hi, s.End) - maxF(lo, s.Start)
-			if overlap <= 0 {
-				continue
-			}
-			idx := opIndex(s.Op)
-			if idx >= 0 {
-				cells[s.Rank*width+b][idx] += overlap
+			overlap := min(hi, s.End) - max(lo, s.Start)
+			if overlap > 0 {
+				cells[int(s.Rank)*width+b][s.Kind] += overlap
 			}
 		}
 	}
@@ -224,30 +188,29 @@ func (r *Recorder) Gantt(w io.Writer, ranks, width int) {
 	fmt.Fprintf(w, "      0%*s%.1fµs\n", width-6, "", end)
 }
 
-func opIndex(op simmpi.OpKind) int {
-	switch op {
-	case simmpi.OpCompute:
-		return 0
-	case simmpi.OpSend:
-		return 1
-	case simmpi.OpRecv:
-		return 2
-	case simmpi.OpAllReduce:
-		return 3
+// WriteBreakdown renders the paper Section 5.4 / Figure 11 style activity
+// breakdown as an aligned text table: one row per rank with its compute,
+// send, receive and collective time plus the communication share of its
+// lifetime, followed by the aggregate summary and the most comm-bound
+// ranks. Output is a pure function of the profiles (fixed-precision
+// formatting, no wall-clock state), so it is golden-testable.
+func WriteBreakdown(w io.Writer, profiles []RankProfile, top int) {
+	fmt.Fprintf(w, "%5s %12s %12s %12s %12s %7s\n",
+		"rank", "compute_us", "send_us", "recv_us", "coll_us", "comm%")
+	for _, p := range profiles {
+		fmt.Fprintf(w, "%5d %12.1f %12.1f %12.1f %12.1f %7.1f\n",
+			p.Rank, p.Compute, p.Send, p.Recv, p.Coll, 100*p.CommShare())
 	}
-	return -1
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
+	s := Summarize(profiles)
+	fmt.Fprintf(w, "ranks=%d makespan=%.1fµs compute=%.1fµs comm=%.1fµs mean_comm=%.1f%%\n",
+		s.Ranks, s.MakeSpan, s.TotalCompute, s.TotalComm, 100*s.MeanCommShare)
+	fmt.Fprintf(w, "critical rank %d (last to finish), most comm-bound rank %d\n",
+		s.CriticalRank, s.BoundRank)
+	if top > 0 {
+		fmt.Fprint(w, "top comm-bound:")
+		for _, p := range TopCommBound(profiles, top) {
+			fmt.Fprintf(w, " %d(%.1f%%)", p.Rank, 100*p.CommShare())
+		}
+		fmt.Fprintln(w)
 	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,4 +1,4 @@
-package trace
+package obs_test
 
 // Golden lock-down of the text renderers: the Gantt chart and the activity
 // breakdown for a small LU run are pinned byte-for-byte, so any drift in
@@ -7,29 +7,27 @@ package trace
 //
 // To bless an intentional change:
 //
-//	go test ./internal/trace -run TestBreakdownGolden -update
+//	go test ./internal/obs -run TestBreakdownGolden -update
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/simmpi"
 	"repro/internal/simnet"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// runLUTraced runs one LU iteration on a 16³ grid over 4×4 ranks with a
-// recorder attached.
-func runLUTraced(t *testing.T) (*Recorder, int) {
+// runSpans runs one iteration of bm over 4×4 ranks on a 16³ grid with a
+// span recorder attached and returns the recorder, the result and the rank
+// count.
+func runSpans(t *testing.T, bm apps.Benchmark) (*obs.Recorder, simmpi.Result, int) {
 	t.Helper()
 	g := grid.Cube(16)
-	bm := apps.LU(g)
 	dec := grid.MustDecompose(g, 4, 4)
 	mach := machine.XT4()
 	sched, err := bm.Schedule(dec, 1)
@@ -37,27 +35,29 @@ func runLUTraced(t *testing.T) (*Recorder, int) {
 		t.Fatal(err)
 	}
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	rec := NewRecorder()
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Tracer: rec})
+	rec := &obs.Recorder{Spans: true}
+	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r, p := range sched.Programs() {
 		sim.SetProgram(r, p)
 	}
-	if _, err := sim.Run(); err != nil {
+	res, err := sim.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, dec.P()
+	return rec, res, dec.P()
 }
 
 func TestBreakdownGolden(t *testing.T) {
 	const path = "testdata/lu_breakdown_golden.txt"
-	rec, ranks := runLUTraced(t)
+	rec, _, ranks := runSpans(t, apps.LU(grid.Cube(16)))
+	spans := rec.SpanList()
 	var buf bytes.Buffer
-	rec.Gantt(&buf, ranks, 72)
+	obs.Gantt(&buf, spans, ranks, 72)
 	buf.WriteByte('\n')
-	WriteBreakdown(&buf, rec.Profile(ranks), 3)
+	obs.WriteBreakdown(&buf, obs.Profile(spans, ranks), 3)
 	got := buf.Bytes()
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -162,9 +162,16 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 	if hdr.DecN <= 0 || hdr.DecM <= 0 {
 		return hdr, nil, fmt.Errorf("replay: invalid decomposition %dx%d", hdr.DecN, hdr.DecM)
 	}
+	// Op peers are int32, so larger rank counts cannot be recorded; the
+	// bound also keeps DecN*DecM from overflowing.
+	if hdr.DecN > math.MaxInt32/hdr.DecM {
+		return hdr, nil, fmt.Errorf("replay: decomposition %dx%d exceeds %d ranks", hdr.DecN, hdr.DecM, math.MaxInt32)
+	}
+	// The header alone must not size any table: streams are collected by
+	// rank as records arrive, and the rank-indexed result is built only
+	// once every rank has a record.
 	ranks := hdr.Ranks()
-	ops := make([][]simmpi.Op, ranks)
-	seen := make([]bool, ranks)
+	byRank := make(map[int][]simmpi.Op)
 	for line := 2; sc.Scan(); line++ {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
@@ -176,10 +183,9 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 		if rr.Rank < 0 || rr.Rank >= ranks {
 			return hdr, nil, fmt.Errorf("replay: line %d: rank %d outside %d ranks", line, rr.Rank, ranks)
 		}
-		if seen[rr.Rank] {
+		if _, dup := byRank[rr.Rank]; dup {
 			return hdr, nil, fmt.Errorf("replay: line %d: duplicate record for rank %d", line, rr.Rank)
 		}
-		seen[rr.Rank] = true
 		n := len(rr.Kinds)
 		if len(rr.Peers) != n || len(rr.Bytes) != n || len(rr.Durs) != n {
 			return hdr, nil, fmt.Errorf("replay: line %d: rank %d arrays disagree (%d kinds, %d peers, %d bytes, %d durs)",
@@ -198,15 +204,23 @@ func Read(r io.Reader) (Header, [][]simmpi.Op, error) {
 			}
 			stream[i] = op
 		}
-		ops[rr.Rank] = stream
+		byRank[rr.Rank] = stream
 	}
 	if err := sc.Err(); err != nil {
 		return hdr, nil, fmt.Errorf("replay: %w", err)
 	}
-	for r, ok := range seen {
-		if !ok {
-			return hdr, nil, fmt.Errorf("replay: trace has no record for rank %d", r)
+	// Records are distinct ranks in [0, ranks), so fewer records than
+	// ranks means one is missing; the search stops within len(byRank)+1.
+	if len(byRank) < ranks {
+		for r := 0; ; r++ {
+			if _, ok := byRank[r]; !ok {
+				return hdr, nil, fmt.Errorf("replay: trace has no record for rank %d", r)
+			}
 		}
+	}
+	ops := make([][]simmpi.Op, ranks)
+	for r, stream := range byRank {
+		ops[r] = stream
 	}
 	return hdr, ops, nil
 }

@@ -18,7 +18,7 @@ import (
 // record runs a small Sweep3D with a lognormal+noise workload under an
 // Ops recorder and returns the stamped header, the recorder, and the
 // result.
-func record(t *testing.T, shards int) (Header, *obs.Recorder, simmpi.Result) {
+func record(t testing.TB, shards int) (Header, *obs.Recorder, simmpi.Result) {
 	t.Helper()
 	mspec := config.MachineSpec{Preset: "xt4", CoresPerNode: 2}
 	mach, err := mspec.Machine()
@@ -157,6 +157,13 @@ func TestReadRejects(t *testing.T) {
 		t.Fatalf("Write: %v", err)
 	}
 	lines := strings.SplitAfter(trace.String(), "\n")
+	// withDec is the header alone, claiming an n×m decomposition.
+	withDec := func(n, m string) string {
+		return strings.Replace(lines[0], `"dec_n":4,"dec_m":2`, `"dec_n":`+n+`,"dec_m":`+m, 1)
+	}
+	if withDec("1", "1") == lines[0] {
+		t.Fatalf("header lacks the expected decomposition: %s", lines[0])
+	}
 
 	for name, mangle := range map[string]string{
 		"empty":          "",
@@ -166,6 +173,11 @@ func TestReadRejects(t *testing.T) {
 		"duplicate rank": trace.String() + lines[1],
 		"unknown field":  lines[0] + `{"rank":0,"kinds":"","peers":[],"bytes":[],"durs":[],"bogus":1}` + "\n",
 		"ragged arrays":  lines[0] + strings.Replace(lines[1], `"peers":[`, `"peers":[99999,`, 1) + strings.Join(lines[2:], ""),
+		// Headers alone must not size tables: an overflowing product, a
+		// ~240 GB rank table, and an in-range but unbacked rank count.
+		"overflowing decomposition": withDec("3037000500", "3037000500"),
+		"huge decomposition":        withDec("100000", "100000"),
+		"unbacked decomposition":    withDec("40000", "40000"),
 	} {
 		if _, _, err := Read(strings.NewReader(mangle)); err == nil {
 			t.Errorf("%s: Read accepted a malformed trace", name)
@@ -205,4 +217,32 @@ func TestCheckOp(t *testing.T) {
 			t.Errorf("checkOp(%+v) = %v, want nil", op, err)
 		}
 	}
+}
+
+// FuzzRead: no input makes Read panic or allocate from the header alone,
+// and an accepted trace has exactly one valid stream per rank.
+func FuzzRead(f *testing.F) {
+	hdr, rec, _ := record(f, 1)
+	var trace bytes.Buffer
+	if err := Write(&trace, hdr, rec); err != nil {
+		f.Fatalf("Write: %v", err)
+	}
+	f.Add(trace.Bytes())
+	f.Add([]byte(strings.SplitAfter(trace.String(), "\n")[0]))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hdr, ops, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(ops) != hdr.Ranks() {
+			t.Fatalf("%d streams for %d ranks", len(ops), hdr.Ranks())
+		}
+		for r, stream := range ops {
+			for i, op := range stream {
+				if err := checkOp(op, r, len(ops)); err != nil {
+					t.Fatalf("rank %d op %d accepted but invalid: %v", r, i, err)
+				}
+			}
+		}
+	})
 }

@@ -12,7 +12,7 @@ package simmpi
 //     at exactly the virtual time its closure predecessor did and events are
 //     scheduled in the same relative order, so serial results are
 //     bit-identical to the closure implementation (see golden_test.go).
-//   - Canonical (any run requested with SetShards(k > 1), including its
+//   - Canonical (any run requested with Options.Shards > 1, including its
 //     single-shard serial core): same-time events fire in content order
 //     (evPri below). Scheduling order is a global property a sharded run
 //     cannot reproduce — a barrier-injected cross-shard event has no way to

@@ -1,7 +1,6 @@
 package simmpi
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -9,71 +8,47 @@ import (
 	"repro/internal/simnet"
 )
 
-type nopTracer struct{}
-
-func (nopTracer) Span(rank int, op OpKind, peer, bytes int, start, end float64) {}
-
 func optTopo(ranks int) *simnet.Topology {
 	m := machine.XT4()
 	return simnet.NewTopology(m.Params, ranks, simnet.LinearPlacement(m))
 }
 
-// TestOptionsRejectTracerWithShards is the consolidation contract: the
-// invalid tracer+shards combination fails at configuration time, at both
-// construction and Reset, instead of silently degrading at Run.
-func TestOptionsRejectTracerWithShards(t *testing.T) {
-	bad := Options{Tracer: nopTracer{}, Shards: 4}
-	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "serial") {
-		t.Fatalf("Validate() = %v, want tracer/shards conflict", err)
-	}
-	if _, err := NewWithOptions(optTopo(4), bad); err == nil {
-		t.Error("NewWithOptions accepted a tracer with 4 shards")
-	}
-	sim := New(optTopo(4))
-	if err := sim.ResetWithOptions(optTopo(4), bad); err == nil {
-		t.Error("ResetWithOptions accepted a tracer with 4 shards")
-	}
-	if err := (Options{Shards: -1}).Validate(); err == nil {
+// TestOptionsValidate: invalid options fail at configuration time, at both
+// construction and reset, instead of at Run; a shard-safe recorder next to
+// shards is valid.
+func TestOptionsValidate(t *testing.T) {
+	bad := Options{Shards: -1}
+	if err := bad.Validate(); err == nil {
 		t.Error("negative shard count accepted")
 	}
-	// Each half of the conflict is fine on its own, as is a shard-safe
-	// recorder next to shards.
-	for _, ok := range []Options{
-		{Tracer: nopTracer{}},
-		{Tracer: nopTracer{}, Shards: 1},
-		{Shards: 8},
-		{Obs: &obs.Recorder{Hist: true}, Shards: 8},
-	} {
+	if _, err := NewWithOptions(optTopo(4), bad); err == nil {
+		t.Error("NewWithOptions accepted a negative shard count")
+	}
+	if err := New(optTopo(4)).ResetWithOptions(optTopo(4), bad); err == nil {
+		t.Error("ResetWithOptions accepted a negative shard count")
+	}
+	for _, ok := range []Options{{}, {Shards: 1}, {Shards: 8}, {Obs: &obs.Recorder{Hist: true}, Shards: 8}} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", ok, err)
 		}
 	}
 }
 
-// TestOptionsMatchSetters pins the wrapper equivalence: a Sim configured
-// through Options carries exactly the state the deprecated setter trio
-// would have installed, and ResetWithOptions replaces the whole set.
-func TestOptionsMatchSetters(t *testing.T) {
+// TestResetWithOptionsReplacesConfig: the Sim's configuration after
+// ResetWithOptions is exactly the options passed; nothing carries over.
+func TestResetWithOptionsReplacesConfig(t *testing.T) {
 	rec := &obs.Recorder{Hist: true}
 	sim, err := NewWithOptions(optTopo(4), Options{Obs: rec, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := New(optTopo(4))
-	old.SetObs(rec)
-	old.SetShards(4)
-	if sim.obs != old.obs || sim.nshards != old.nshards || sim.Shards() != 4 {
-		t.Errorf("options state (obs=%p shards=%d) != setter state (obs=%p shards=%d)",
-			sim.obs, sim.nshards, old.obs, old.nshards)
+	if sim.obs != rec || sim.nshards != 4 {
+		t.Fatalf("NewWithOptions: obs=%p shards=%d, want %p, 4", sim.obs, sim.nshards, rec)
 	}
-	// ResetWithOptions applies the full set: the zero Options returns the
-	// Sim to a serial, un-instrumented run (legacy Reset would have kept
-	// the shard count).
 	if err := sim.ResetWithOptions(optTopo(4), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if sim.obs != nil || sim.tracer != nil || sim.Shards() != 1 {
-		t.Errorf("after ResetWithOptions(zero): obs=%p tracer=%v shards=%d, want clean serial",
-			sim.obs, sim.tracer, sim.Shards())
+	if sim.obs != nil || sim.nshards != 1 {
+		t.Errorf("after ResetWithOptions(zero): obs=%p shards=%d, want clean serial", sim.obs, sim.nshards)
 	}
 }

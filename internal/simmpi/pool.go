@@ -131,7 +131,7 @@ func (sh *shard) unlink(ch *channel, mi int32) {
 // large run creates share one growing array instead of each allocating its
 // own. The region's size is zero or a power of two, so position wrap-around
 // is a mask. Growing a ring moves it to a fresh region at the end of the
-// slab; the old region stays unused until Sim.Reset empties the slab, which
+// slab; the old region stays unused until Sim.reset empties the slab, which
 // at most doubles the slab over the rings' live sizes.
 type ring struct {
 	off  int32 // region start in the slab

@@ -1,10 +1,10 @@
 package simmpi_test
 
-// Tests of the Sim.Reset reuse API: a reset simulator must behave
-// bit-identically to a freshly constructed one (the campaign engine depends
-// on this for worker-count-independent results), and back-to-back runs of
-// the same configuration must be near-allocation-free so sweeps amortise
-// the pools of PR 1 across runs, not just within one.
+// Tests of the Sim.ResetWithOptions reuse API: a reset simulator must
+// behave bit-identically to a freshly constructed one (the campaign engine
+// depends on this for worker-count-independent results), and back-to-back
+// runs of the same configuration must be near-allocation-free so sweeps
+// amortise the simulator's pools across runs, not just within one.
 
 import (
 	"fmt"
@@ -42,7 +42,7 @@ func freshRun(t *testing.T, bm apps.Benchmark, p int) simmpi.Result {
 	return res
 }
 
-// resetRun simulates bm at p ranks on sim after a Reset.
+// resetRun simulates bm at p ranks on sim after a reset.
 func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Result {
 	t.Helper()
 	dec, err := grid.SquareDecomposition(bm.App.Grid, p)
@@ -55,7 +55,7 @@ func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Re
 	}
 	mach := machine.XT4()
 	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim.Reset(topo)
+	reset(t, sim, topo)
 	for r, pr := range sched.Programs() {
 		sim.SetProgram(r, pr)
 	}
@@ -64,6 +64,14 @@ func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Re
 		t.Fatal(err)
 	}
 	return res
+}
+
+// reset rebinds sim to topo for a default serial run.
+func reset(t *testing.T, sim *simmpi.Sim, topo *simnet.Topology) {
+	t.Helper()
+	if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sameResult(t *testing.T, name string, a, b simmpi.Result) {
@@ -137,7 +145,7 @@ func collectiveRun(t *testing.T, sim *simmpi.Sim, ranks int) simmpi.Result {
 	if sim == nil {
 		sim = simmpi.New(topo)
 	} else {
-		sim.Reset(topo)
+		reset(t, sim, topo)
 	}
 	for r, p := range collectiveProgs(ranks) {
 		sim.SetProgram(r, p)
@@ -178,7 +186,7 @@ func TestResetCollectiveAllocsNearZero(t *testing.T) {
 	sim := simmpi.New(topo)
 	run := func() {
 		topo.Reset()
-		sim.Reset(topo)
+		reset(t, sim, topo)
 		for r, p := range progs {
 			p.Rewind()
 			sim.SetProgram(r, p)
@@ -226,7 +234,7 @@ func TestResetAllocsNearZero(t *testing.T) {
 	var events uint64
 	run := func() {
 		topo.Reset()
-		sim.Reset(topo)
+		reset(t, sim, topo)
 		for r, p := range progs {
 			p.Rewind()
 			sim.SetProgram(r, p)

@@ -125,7 +125,7 @@ func TestResetClearsInterconnect(t *testing.T) {
 	sim := simmpi.New(tp)
 	first := run(sim)
 	tp.Reset()
-	sim.Reset(tp)
+	reset(t, sim, tp)
 	second := run(sim)
 	sameResult(t, "reset", first, second)
 	if first.LinkWait != second.LinkWait || first.LinkRequests != second.LinkRequests {
