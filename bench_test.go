@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/campaign"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fitting"
@@ -256,21 +257,12 @@ func BenchmarkCampaignSerialReuse(b *testing.B) {
 // Sweep3D iteration at P=256.
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
 	mach := machine.XT4()
 	dec := grid.MustDecompose(g, 16, 16)
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		sched, err := bm.Schedule(dec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		sim := simmpi.New(topo)
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
+		res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,8 +274,9 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 // benchParallelEventRate measures aggregate discrete-event throughput of a
 // huge Sweep3D run — 65,536 ranks on a 256×256 decomposition — at the given
 // shard count. Setup (schedule expansion, topology and program installation)
-// is excluded from the timer so the metric isolates Run itself; shards=1 is
-// the serial reference the speedup is read against.
+// is excluded from the timer so the metric isolates Run itself, which is why
+// it drives the step-wise Sim API rather than Simulate; shards=1 is the
+// serial reference the speedup is read against.
 func benchParallelEventRate(b *testing.B, shards int) {
 	g := grid.NewGrid(256, 256, 32)
 	bm := apps.Sweep3D(g, 2)
@@ -296,7 +289,10 @@ func benchParallelEventRate(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
+		topo, err := simnet.NewMachineTopology(mach, dec)
+		if err != nil {
+			b.Fatal(err)
+		}
 		sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: shards})
 		if err != nil {
 			b.Fatal(err)
@@ -374,12 +370,7 @@ func BenchmarkSSORKernel(b *testing.B) {
 func BenchmarkAllReduceSim(b *testing.B) {
 	mach := machine.XT4()
 	for i := 0; i < b.N; i++ {
-		topo := simnet.NewTopology(mach.Params, 1024, simnet.LinearPlacement(mach))
-		sim := simmpi.New(topo)
-		for r := 0; r < 1024; r++ {
-			sim.SetProgram(r, simmpi.Ops(simmpi.AllReduce(8)))
-		}
-		if _, err := sim.Run(); err != nil {
+		if _, err := coll.Simulate(mach, 1024, coll.Collective{Kind: coll.Allreduce, Bytes: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 )
 
 type driverTiming struct {
@@ -51,10 +50,9 @@ type report struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	BytesPerOp     int64   `json:"bytes_per_op"`
 
-	// The same workload with the observability recorder explicitly
-	// detached (simmpi.Options{Obs: nil}): the nil-guarded hooks must keep
-	// the disabled path as fast as having no hooks at all, and this metric
-	// is what the benchgate holds to that claim.
+	// The same workload measured a second time. The zero Options leave the
+	// observability recorder detached, so this is the disabled-hooks rate
+	// the benchgate holds to the serial one.
 	EventsPerSecObsDisabled float64 `json:"events_per_sec_obs_disabled"`
 
 	// Campaign batch throughput on the built-in example sweep: how many
@@ -103,39 +101,20 @@ func campaignRate(repeats int) (runs, workers int, seconds float64) {
 	return len(expanded) * repeats, workers, time.Since(start).Seconds()
 }
 
-// eventRate runs the event-rate workload iters times (after one warm-up)
-// and measures wall time and heap allocations per op. obsDisabled runs the
-// workload with the observability recorder explicitly configured nil
-// (simmpi.Options) — semantically identical to never attaching one, measured
-// separately so the nil-guarded hook cost is tracked as its own metric.
-func eventRate(iters int, obsDisabled bool) (nsPerOp float64, events uint64, allocsPerOp, bytesPerOp int64) {
+// eventRateWorkload is the event-rate benchmark: one Sweep3D iteration on a
+// 64³ grid over a 16×16 decomposition (256 ranks) of the XT4.
+func eventRateWorkload() (apps.Benchmark, machine.Machine, grid.Decomposition) {
 	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
-	mach := machine.XT4()
-	dec := grid.MustDecompose(g, 16, 16)
+	return apps.Sweep3D(g, 2).WithIterations(1), machine.XT4(), grid.MustDecompose(g, 16, 16)
+}
+
+// eventRate runs the event-rate workload iters times (after one warm-up),
+// each on a fresh simulator, and measures wall time and heap allocations
+// per op.
+func eventRate(iters int) (nsPerOp float64, events uint64, allocsPerOp, bytesPerOp int64) {
+	bm, mach, dec := eventRateWorkload()
 	run := func() uint64 {
-		sched, err := bm.Schedule(dec, 1)
-		if err != nil {
-			panic(err)
-		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		var sim *simmpi.Sim
-		if obsDisabled {
-			// Explicitly configure a nil recorder — semantically identical
-			// to never attaching one — so the nil-guarded hook cost is
-			// measured as its own metric.
-			s, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: nil})
-			if err != nil {
-				panic(err)
-			}
-			sim = s
-		} else {
-			sim = simmpi.New(topo)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
+		res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -161,24 +140,10 @@ func eventRate(iters int, obsDisabled bool) (nsPerOp float64, events uint64, all
 // (after one warm-up) and reports wall time per op plus the scheduler's
 // window statistics.
 func parallelRate(iters, shards int) (nsPerOp float64, events, windows, stalls uint64) {
-	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
-	mach := machine.XT4()
-	dec := grid.MustDecompose(g, 16, 16)
+	bm, mach, dec := eventRateWorkload()
 	run := func() {
-		sched, err := bm.Schedule(dec, 1)
-		if err != nil {
-			panic(err)
-		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: shards})
-		if err != nil {
-			panic(err)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
+		sim := new(simmpi.Sim)
+		res, err := bm.Simulate(sim, mach, dec, simmpi.Options{Shards: shards})
 		if err != nil {
 			panic(err)
 		}
@@ -199,8 +164,8 @@ func main() {
 	iters := flag.Int("benchtime", 10, "iteration count for the event-rate benchmark")
 	flag.Parse()
 
-	nsPerOp, events, allocsPerOp, bytesPerOp := eventRate(*iters, false)
-	obsNsPerOp, obsEvents, _, _ := eventRate(*iters, true)
+	nsPerOp, events, allocsPerOp, bytesPerOp := eventRate(*iters)
+	obsNsPerOp, obsEvents, _, _ := eventRate(*iters)
 	parNsPerOp, parEvents, parWindows, parStalls := parallelRate(*iters, 4)
 	campRuns, campWorkers, campSeconds := campaignRate(*iters)
 

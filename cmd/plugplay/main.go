@@ -25,7 +25,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 )
 
 // errUsage reports a missing -f; main exits with status 2 for it.
@@ -117,23 +116,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sched, err := bmSim.Schedule(dec, *iters)
-	if err != nil {
-		return err
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	if err != nil {
-		return err
-	}
 	rec := &obs.Recorder{Spans: true}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
-	if err != nil {
-		return err
-	}
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
+	res, err := bmSim.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Obs: rec})
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -74,10 +73,6 @@ func main() {
 	rep, err := core.New(bm.App, mach).Evaluate(dec)
 	check(err)
 
-	sched, err := bm.Schedule(dec, *iters)
-	check(err)
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	check(err)
 	rec := obsFlags.Recorder()
 	if obsFlags.Hist {
 		if rec == nil {
@@ -91,12 +86,8 @@ func main() {
 		}
 		rec.Ops = true
 	}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: *shards, Obs: rec})
-	check(err)
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
+	sim := new(simmpi.Sim)
+	res, err := bm.Simulate(sim, mach, dec, simmpi.Options{Shards: *shards, Obs: rec})
 	check(err)
 
 	fmt.Printf("app=%s grid=%v P=%d (%dx%d) cores/node=%d Htile=%d iterations=%d\n",
@@ -134,7 +125,7 @@ func main() {
 		res.Hists.Write(os.Stdout)
 	}
 	topt := obs.TimelineOptions{}
-	if ic := topo.Interconnect(); ic != nil {
+	if ic := sim.Topology().Interconnect(); ic != nil {
 		topt.LinkName = ic.LinkName
 	}
 	check(obsFlags.WriteArtifacts(rec, topt, nil))

@@ -28,7 +28,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -67,6 +66,7 @@ func main() {
 		hists   *obs.SimHists
 	}
 	var rows []row
+	sim := new(simmpi.Sim)
 	for _, name := range strings.Split(*topos, ",") {
 		name = strings.TrimSpace(name)
 		kind, err := topo.ParseKind(name)
@@ -77,18 +77,9 @@ func main() {
 		}
 		mach := base.WithInterconnect(spec)
 
-		sched, err := bm.Schedule(dec, *iters)
+		res, err := bm.Simulate(sim, mach, dec, simmpi.Options{Obs: &obs.Recorder{Hist: true}})
 		check(err)
-		t, err := simnet.NewMachineTopology(mach, dec)
-		check(err)
-		sim, err := simmpi.NewWithOptions(t, simmpi.Options{Obs: &obs.Recorder{Hist: true}})
-		check(err)
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
-		check(err)
-		rows = append(rows, row{name: name, ic: t.Interconnect(), res: res, simTime: res.Time, hists: res.Hists})
+		rows = append(rows, row{name: name, ic: sim.Topology().Interconnect(), res: res, simTime: res.Time, hists: res.Hists})
 	}
 
 	fmt.Printf("%-10s %7s %12s %12s %9s %9s %13s %10s\n",

@@ -16,7 +16,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/wavefront"
 )
@@ -63,16 +62,9 @@ func main() {
 	simDec := grid.MustDecompose(simGrid, 8, 8)
 	mach := machine.XT4()
 	simTime := func(corners []grid.Corner) float64 {
-		bm := apps.Sweep3D(simGrid, 2)
-		sched, err := bm.Schedule(simDec, 1)
-		check(err)
-		sched.Corners = corners
-		topo := simnet.NewTopology(mach.Params, simDec.P(), simnet.GridPlacement(simDec, mach))
-		sim := simmpi.New(topo)
-		for r := 0; r < simDec.P(); r++ {
-			sim.SetProgram(r, sched.Program(r))
-		}
-		res, err := sim.Run()
+		bm := apps.Sweep3D(simGrid, 2).WithIterations(1)
+		bm.Corners = corners
+		res, err := bm.Simulate(new(simmpi.Sim), mach, simDec, simmpi.Options{})
 		check(err)
 		return res.Time
 	}

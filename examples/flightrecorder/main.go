@@ -16,7 +16,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -24,13 +23,9 @@ func main() {
 	// One Sweep3D iteration: 32³ cells over an 8×8 rank grid (64 ranks on
 	// 32 dual-core nodes), inter-node traffic routed over a 2D torus.
 	g := grid.Cube(32)
-	bm := apps.Sweep3D(g, 2)
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
 	dec := grid.MustDecompose(g, 8, 8)
-	mach := machine.XT4()
-	sched, err := bm.Schedule(dec, 1)
-	check(err)
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	check(tp.AttachInterconnect(topo.Spec{Kind: topo.Torus2D}))
+	mach := machine.XT4().WithInterconnect(topo.Spec{Kind: topo.Torus2D})
 
 	// The recorder's feature flags choose what is collected; all of them
 	// off (the default) collects nothing, and a nil recorder costs the
@@ -38,15 +33,11 @@ func main() {
 	// serial — a sharded run records the same bytes, so Shards and Obs
 	// compose freely in one Options value.
 	rec := &obs.Recorder{Spans: true, Messages: true, Links: true, Windows: true, Hist: true}
-	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{
+	sim := new(simmpi.Sim)
+	res, err := bm.Simulate(sim, mach, dec, simmpi.Options{
 		Shards: 4, // conservative-parallel, bit-identical to serial
 		Obs:    rec,
 	})
-	check(err)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
 	check(err)
 	fmt.Printf("simulated %d ranks: %.1fµs makespan, %d events, %d messages\n\n",
 		dec.P(), res.Time, res.Events, res.Sends)
@@ -55,7 +46,7 @@ func main() {
 	//    Load the file in https://ui.perfetto.dev (or chrome://tracing);
 	//    clicking a send span shows its peer and byte count, a link span
 	//    its queueing delay, a shard window its event count and heap depth.
-	ic := tp.Interconnect()
+	ic := sim.Topology().Interconnect()
 	f, err := os.Create("flight_trace.json")
 	check(err)
 	check(obs.WriteTimeline(f, rec, obs.TimelineOptions{LinkName: ic.LinkName}))

@@ -12,7 +12,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/sweep"
 )
 
@@ -42,16 +41,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	sched, err := bm.Schedule(dec, bm.App.Iterations)
-	if err != nil {
-		panic(err)
-	}
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim := simmpi.New(topo)
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -53,17 +52,8 @@ func main() {
 	// 2. Record: run the simulation with the flight recorder's Ops
 	//    stream enabled and write the versioned trace — a JSONL file
 	//    with a schema_version'd header plus one op-stream line per rank.
-	sched, err := bm.Schedule(dec, 2)
-	check(err)
-	tp, err := simnet.NewMachineTopology(mach, dec)
-	check(err)
 	rec := &obs.Recorder{Ops: true}
-	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Obs: rec})
-	check(err)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Obs: rec})
 	check(err)
 	fmt.Printf("recorded:  %s / %s\n", bm.App.Name, wl.String())
 	fmt.Printf("simulated: %.1fµs (model, uniform-compute: %.1fµs → %+.1f%% error under skew)\n",

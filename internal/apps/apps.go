@@ -19,7 +19,9 @@ import (
 	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/machine"
 	"repro/internal/simmpi"
+	"repro/internal/simnet"
 	"repro/internal/wavefront"
 	"repro/internal/workload"
 )
@@ -305,4 +307,21 @@ func (b Benchmark) Schedule(dec grid.Decomposition, iterations int) (*wavefront.
 		return nil, err
 	}
 	return s, nil
+}
+
+// Simulate executes the benchmark's schedule — b.App.Iterations iterations
+// on dec — on sim over mach's full hardware substrate
+// (simnet.NewMachineTopology, so the machine's interconnect is honoured).
+// Interconnect and shard statistics are read from sim afterwards
+// (Sim.Topology, Sim.ParallelStats).
+func (b Benchmark) Simulate(sim *simmpi.Sim, mach machine.Machine, dec grid.Decomposition, o simmpi.Options) (simmpi.Result, error) {
+	sched, err := b.Schedule(dec, b.App.Iterations)
+	if err != nil {
+		return simmpi.Result{}, err
+	}
+	topo, err := simnet.NewMachineTopology(mach, dec)
+	if err != nil {
+		return simmpi.Result{}, err
+	}
+	return sim.Simulate(topo, sched.Programs(), o)
 }

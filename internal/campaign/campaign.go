@@ -2,7 +2,7 @@
 // specification of a cartesian sweep — applications × machines × rank
 // counts × LogGP parameter overrides — expands it into a deterministic run
 // list, and executes the runs concurrently on a worker pool in which each
-// worker owns one reusable simulator (simmpi.Sim.ResetWithOptions), so the
+// worker owns one reusable simulator (apps.Benchmark.Simulate), so the
 // allocation-free core is amortised across thousands of runs.
 //
 // This is the paper's plug-and-play workflow at fleet scale: instead of one
@@ -21,6 +21,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -383,6 +384,24 @@ func (s Spec) overrides() []ParamOverride {
 		return []ParamOverride{{Name: "baseline"}}
 	}
 	return s.LogGP
+}
+
+// RunCount returns the number of runs Expand would produce, without
+// expanding: the product of the four dimension lengths, saturating at the
+// largest int instead of overflowing. It lets a caller bound a spec before
+// paying for its expansion.
+func (s Spec) RunCount() int {
+	n := 1
+	for _, d := range []int{len(s.Apps), len(s.Machines), len(s.overrides()), len(s.Ranks)} {
+		if d == 0 {
+			return 0
+		}
+		if n > math.MaxInt/d {
+			return math.MaxInt
+		}
+		n *= d
+	}
+	return n
 }
 
 // Run is one fully materialised simulation+model evaluation of a campaign.

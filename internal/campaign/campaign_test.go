@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -179,6 +180,36 @@ func TestExpandRejectsOversizedDecomposition(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestRunCount: RunCount matches the expansion of the builtins (an absent
+// LogGP dimension counts as the one baseline override) and saturates
+// instead of overflowing when the dimension product exceeds an int.
+func TestRunCount(t *testing.T) {
+	for _, s := range []Spec{Example(), Flagship()} {
+		runs, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.RunCount(); got != len(runs) {
+			t.Errorf("%s: RunCount %d, Expand %d runs", s.Name, got, len(runs))
+		}
+	}
+	s := Example()
+	s.LogGP = nil
+	if got := s.RunCount(); got != 2*2*1*3 {
+		t.Errorf("no LogGP dimension: RunCount %d, want 12", got)
+	}
+	const d = 1 << 16 // d⁴ = 2⁶⁴ overflows int64
+	huge := Spec{
+		Apps:     make([]AppDim, d),
+		Machines: make([]MachineDim, d),
+		LogGP:    make([]ParamOverride, d),
+		Ranks:    make([]int, d),
+	}
+	if got := huge.RunCount(); got != math.MaxInt {
+		t.Errorf("RunCount of a 2^64-run spec = %d, want saturation at %d", got, math.MaxInt)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -228,8 +227,8 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var sim *simmpi.Sim // lazily built, then reused via Reset
-			var scratch []byte  // content-key buffer, reused across runs
+			sim := new(simmpi.Sim) // reused by every run of this worker
+			var scratch []byte     // content-key buffer, reused across runs
 			for i := range jobs {
 				r := runs[i]
 				pos := pos0 + i
@@ -275,7 +274,7 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 					}
 				}
 
-				res := executeRun(r, cfg, &sim)
+				res := executeRun(r, cfg, sim)
 				results[i] = res
 				if res.Error == "" {
 					if cfg.Store != nil && !bypass {
@@ -381,10 +380,9 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 }
 
 // executeRun evaluates the analytic model and the simulator for one run.
-// cfg supplies the shard override and observability options. simp points
-// at the worker's simulator slot: nil on the worker's first run, Reset and
-// reused afterwards.
-func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
+// cfg supplies the shard override and observability options; sim is the
+// worker's simulator, reused across its runs.
+func executeRun(r Run, cfg Config, sim *simmpi.Sim) RunResult {
 	start := time.Now()
 	out := RunResult{
 		Schema:     SchemaVersion,
@@ -411,33 +409,11 @@ func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
 	if err != nil {
 		return fail(err)
 	}
-	sched, err := bm.Schedule(r.dec, r.Iterations)
-	if err != nil {
-		return fail(err)
-	}
-	topo, err := simnet.NewMachineTopology(r.mach, r.dec)
-	if err != nil {
-		return fail(err)
-	}
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = r.shards
 	}
-	opt := simmpi.Options{Shards: shards, Obs: cfg.recorderFor(r.Index)}
-	if *simp == nil {
-		s, err := simmpi.NewWithOptions(topo, opt)
-		if err != nil {
-			return fail(err)
-		}
-		*simp = s
-	} else if err := (*simp).ResetWithOptions(topo, opt); err != nil {
-		return fail(err)
-	}
-	sim := *simp
-	for rank, prog := range sched.Programs() {
-		sim.SetProgram(rank, prog)
-	}
-	res, err := sim.Run()
+	res, err := bm.Simulate(sim, r.mach, r.dec, simmpi.Options{Shards: shards, Obs: cfg.recorderFor(r.Index)})
 	if err != nil {
 		return fail(err)
 	}
@@ -452,7 +428,7 @@ func executeRun(r Run, cfg Config, simp **simmpi.Sim) RunResult {
 	out.Messages = res.Sends
 	out.BytesSent = res.BytesSent
 	out.BusWait = res.BusWait
-	if ic := topo.Interconnect(); ic != nil {
+	if ic := sim.Topology().Interconnect(); ic != nil {
 		out.Topology = ic.Spec().String()
 		out.LinkWait = res.LinkWait
 		out.LinkQueued = res.LinkQueued

@@ -137,9 +137,16 @@ func (c *servedCampaign) status() statusResponse {
 	}
 }
 
+// maxServedRuns caps the runs one submitted campaign may expand to. The
+// handler expands synchronously, so the cap bounds the time and memory a
+// single request can take before it is answered; the largest builtin
+// campaign has 540 runs. The campaign CLI has no cap.
+const maxServedRuns = 10000
+
 // handleSubmit accepts a campaign spec, expands it synchronously (so a bad
 // spec is a 400 with the expansion error, not a failed campaign), then
-// executes it in the background.
+// executes it in the background. A spec above maxServedRuns is a 400
+// before any expansion.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
@@ -149,6 +156,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := ParseSpec(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if n := spec.RunCount(); n > maxServedRuns {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("campaign: spec expands to %d runs, above the server's cap of %d per campaign", n, maxServedRuns))
 		return
 	}
 	runs, err := spec.Expand()

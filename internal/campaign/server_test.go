@@ -155,6 +155,33 @@ func TestServerErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("over-cap spec is 400 before expansion", func(t *testing.T) {
+		spec := Example() // 2 apps × 2 machines × 2 overrides
+		spec.Ranks = nil
+		for p := 1; p <= 2500; p++ {
+			spec.Ranks = append(spec.Ranks, p)
+		}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(eb.Error, "20000 runs") || !strings.Contains(eb.Error, "10000") {
+			t.Errorf("error %q does not name the run count and the cap", eb.Error)
+		}
+	})
+
 	t.Run("unknown id is 404", func(t *testing.T) {
 		for _, path := range []string{"/v1/campaigns/c999", "/v1/campaigns/c999/results"} {
 			resp, err := http.Get(ts.URL + path)

@@ -167,7 +167,7 @@ func (c Collective) Op() simmpi.Op {
 // over many sizes and algorithms amortise the simulator's pools the same
 // way campaign workers do.
 type Runner struct {
-	sim *simmpi.Sim
+	sim *simmpi.Sim // created on the first Run; a Sim must not be copied once it has run
 	// Obs, if non-nil, is attached to every Run as the simulator's
 	// observability recorder. Call its Reset between runs if per-run
 	// streams are wanted; histograms otherwise accumulate across runs.
@@ -187,21 +187,15 @@ func (r *Runner) Run(m machine.Machine, ranks int, c Collective) (simmpi.Result,
 	if err := t.AttachInterconnect(m.Interconnect); err != nil {
 		return simmpi.Result{}, err
 	}
-	opt := simmpi.Options{Obs: r.Obs}
-	if r.sim == nil {
-		sim, err := simmpi.NewWithOptions(t, opt)
-		if err != nil {
-			return simmpi.Result{}, err
-		}
-		r.sim = sim
-	} else if err := r.sim.ResetWithOptions(t, opt); err != nil {
-		return simmpi.Result{}, err
-	}
+	progs := make([]simmpi.Program, ranks)
 	op := c.Op()
-	for rank := 0; rank < ranks; rank++ {
-		r.sim.SetProgram(rank, simmpi.Ops(op))
+	for rank := range progs {
+		progs[rank] = simmpi.Ops(op)
 	}
-	return r.sim.Run()
+	if r.sim == nil {
+		r.sim = new(simmpi.Sim)
+	}
+	return r.sim.Simulate(t, progs, simmpi.Options{Obs: r.Obs})
 }
 
 // Simulate runs one collective on a fresh simulator; see Runner.Run.

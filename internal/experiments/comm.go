@@ -6,11 +6,10 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/coll"
 	"repro/internal/fitting"
 	"repro/internal/logp"
 	"repro/internal/machine"
-	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -116,12 +115,7 @@ func AllReduceData(ps []int) ([]AllReducePoint, error) {
 	mach := machine.XT4()
 	out := make([]AllReducePoint, 0, len(ps))
 	for _, p := range ps {
-		topo := simnet.NewTopology(mach.Params, p, simnet.LinearPlacement(mach))
-		sim := simmpi.New(topo)
-		for r := 0; r < p; r++ {
-			sim.SetProgram(r, simmpi.Ops(simmpi.AllReduce(8)))
-		}
-		res, err := sim.Run()
+		res, err := coll.Simulate(mach, p, coll.Collective{Kind: coll.Allreduce, Bytes: 8})
 		if err != nil {
 			return nil, err
 		}

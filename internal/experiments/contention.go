@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/machine"
+	"repro/internal/simmpi"
 	"repro/internal/stats"
 )
 
@@ -54,7 +55,7 @@ func ContentionData(g grid.Grid, p int, coreCounts []int, iters int) ([]Contenti
 		if err != nil {
 			return nil, err
 		}
-		res, err := SimulateBenchmark(bm, mach, dec, iters)
+		res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 		if err != nil {
 			return nil, err
 		}

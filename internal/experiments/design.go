@@ -15,6 +15,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/simmpi"
 	"repro/internal/stats"
 	"repro/internal/wavefront"
 )
@@ -134,7 +135,7 @@ func Fig6Data(ps, simPs []int) ([]Fig6Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := SimulateBenchmark(bm, mach, dec, 1)
+			res, err := bm.WithIterations(1).Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/wavefront"
 )
@@ -20,18 +19,9 @@ import (
 func simulateCorners(t *testing.T, g grid.Grid, dec grid.Decomposition,
 	mach machine.Machine, corners []grid.Corner) float64 {
 	t.Helper()
-	bm := apps.Sweep3D(g, 2)
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.Corners = corners
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim := simmpi.New(topo)
-	for r := 0; r < dec.P(); r++ {
-		sim.SetProgram(r, sched.Program(r))
-	}
-	res, err := sim.Run()
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
+	bm.Corners = corners
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,20 +106,8 @@ func TestTraceCommShareTracksModelBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
 	rec := &obs.Recorder{Spans: true}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	if _, err := sim.Run(); err != nil {
+	if _, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Obs: rec}); err != nil {
 		t.Fatal(err)
 	}
 	sum := obs.Summarize(obs.Profile(rec.SpanList(), dec.P()))
@@ -163,7 +141,7 @@ func TestHtileModelMinimumAgreesWithSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SimulateBenchmark(bm, mach, dec, 1)
+		res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

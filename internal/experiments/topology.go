@@ -15,7 +15,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -44,6 +43,7 @@ func TopologyData(bm apps.Benchmark, cores int, specs []topo.Spec, ranks []int) 
 		return nil, err
 	}
 	var out []TopologyPoint
+	sim := new(simmpi.Sim)
 	for _, spec := range specs {
 		mach := base.WithInterconnect(spec)
 		for _, p := range ranks {
@@ -55,21 +55,7 @@ func TopologyData(bm apps.Benchmark, cores int, specs []topo.Spec, ranks []int) 
 			if err != nil {
 				return nil, err
 			}
-			// Built inline (not via SimulateBenchmark) to keep the topology
-			// handle: the hottest link's utilisation needs per-link stats.
-			sched, err := bm.Schedule(dec, 1)
-			if err != nil {
-				return nil, err
-			}
-			t, err := simnet.NewMachineTopology(mach, dec)
-			if err != nil {
-				return nil, err
-			}
-			sim := simmpi.New(t)
-			for r, prog := range sched.Programs() {
-				sim.SetProgram(r, prog)
-			}
-			res, err := sim.Run()
+			res, err := bm.Simulate(sim, mach, dec, simmpi.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +67,7 @@ func TopologyData(bm apps.Benchmark, cores int, specs []topo.Spec, ranks []int) 
 				LinkWait:  res.LinkWait,
 				LinkHops:  res.LinkRequests,
 			}
-			if ic := t.Interconnect(); ic != nil && res.Time > 0 {
+			if ic := sim.Topology().Interconnect(); ic != nil && res.Time > 0 {
 				pt.MaxUtil = ic.MaxLinkBusy() / res.Time
 			}
 			out = append(out, pt)

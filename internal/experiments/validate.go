@@ -15,7 +15,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -32,26 +31,6 @@ type ValidationPoint struct {
 	RelErr    float64 // signed, (model − sim)/sim
 }
 
-// SimulateBenchmark runs iters iterations of the benchmark on the
-// discrete-event simulator and returns the virtual execution time in µs.
-// The machine's interconnect spec, if any, is honoured: off-node traffic
-// then routes over contended torus or fat-tree links.
-func SimulateBenchmark(bm apps.Benchmark, mach machine.Machine, dec grid.Decomposition, iters int) (simmpi.Result, error) {
-	sched, err := bm.WithIterations(iters).Schedule(dec, iters)
-	if err != nil {
-		return simmpi.Result{}, err
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	if err != nil {
-		return simmpi.Result{}, err
-	}
-	sim := simmpi.New(topo)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	return sim.Run()
-}
-
 // CompareOne evaluates model and simulator for iters iterations of a
 // benchmark at one processor count.
 func CompareOne(bm apps.Benchmark, mach machine.Machine, p, iters int) (ValidationPoint, error) {
@@ -64,7 +43,7 @@ func CompareOne(bm apps.Benchmark, mach machine.Machine, p, iters int) (Validati
 	if err != nil {
 		return ValidationPoint{}, err
 	}
-	res, err := SimulateBenchmark(bm, mach, dec, iters)
+	res, err := bm.WithIterations(iters).Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 	if err != nil {
 		return ValidationPoint{}, err
 	}

@@ -51,10 +51,8 @@ func PingPong(mach machine.Machine, path logp.Path, bytes, rounds int) (float64,
 		ops0 = append(ops0, simmpi.Send(1, bytes), simmpi.Recv(1))
 		ops1 = append(ops1, simmpi.Recv(0), simmpi.Send(0, bytes))
 	}
-	sim := simmpi.New(topo)
-	sim.SetProgram(0, simmpi.Ops(ops0...))
-	sim.SetProgram(1, simmpi.Ops(ops1...))
-	res, err := sim.Run()
+	progs := []simmpi.Program{simmpi.Ops(ops0...), simmpi.Ops(ops1...)}
+	res, err := new(simmpi.Sim).Simulate(topo, progs, simmpi.Options{})
 	if err != nil {
 		return 0, err
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 )
 
 // runSpans runs one iteration of bm over 4×4 ranks on a 16³ grid with a
@@ -30,20 +29,8 @@ func runSpans(t *testing.T, bm apps.Benchmark) (*obs.Recorder, simmpi.Result, in
 	g := grid.Cube(16)
 	dec := grid.MustDecompose(g, 4, 4)
 	mach := machine.XT4()
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
 	rec := &obs.Recorder{Spans: true}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	res, err := bm.WithIterations(1).Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -36,25 +35,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func runFlight(t *testing.T, edge, n, m, shards int, rec *obs.Recorder) simmpi.Result {
 	t.Helper()
 	g := grid.Cube(edge)
-	bm := apps.Sweep3D(g, 2)
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
 	dec := grid.MustDecompose(g, n, m)
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := machine.XT4()
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	if err := tp.AttachInterconnect(topo.Spec{Kind: topo.Torus2D}); err != nil {
-		t.Fatal(err)
-	}
-	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards, Obs: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	mach := machine.XT4().WithInterconnect(topo.Spec{Kind: topo.Torus2D})
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Shards: shards, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,14 +290,11 @@ func Replay(hdr Header, ops [][]simmpi.Op, o Options) (simmpi.Result, error) {
 	if err != nil {
 		return zero, fmt.Errorf("replay: %w", err)
 	}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: o.Shards, Obs: o.Rec})
-	if err != nil {
-		return zero, fmt.Errorf("replay: %w", err)
-	}
+	progs := make([]simmpi.Program, len(ops))
 	for r, stream := range ops {
-		sim.SetProgram(r, simmpi.Ops(stream...))
+		progs[r] = simmpi.Ops(stream...)
 	}
-	res, err := sim.Run()
+	res, err := new(simmpi.Sim).Simulate(topo, progs, simmpi.Options{Shards: o.Shards, Obs: o.Rec})
 	if err != nil {
 		return zero, fmt.Errorf("replay: %w", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -29,26 +28,11 @@ func record(t testing.TB, shards int) (Header, *obs.Recorder, simmpi.Result) {
 	dec := grid.MustDecompose(g, 4, 2)
 	wl := workload.Spec{Dist: workload.DistLognormal, Sigma: 0.4, Seed: 7,
 		Noise: &workload.NoiseSpec{Rate: 0.5, AmpUS: 25}}
-	bm := apps.Sweep3D(g, 2).WithWorkload(wl)
-	sched, err := bm.Schedule(dec, 2)
-	if err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	if err != nil {
-		t.Fatalf("NewMachineTopology: %v", err)
-	}
+	bm := apps.Sweep3D(g, 2).WithWorkload(wl).WithIterations(2)
 	rec := &obs.Recorder{Ops: true}
-	sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: shards, Obs: rec})
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{Shards: shards, Obs: rec})
 	if err != nil {
-		t.Fatalf("NewWithOptions: %v", err)
-	}
-	for r, prog := range sched.Programs() {
-		sim.SetProgram(r, prog)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	hdr := Header{
 		App:      bm.App.Name,

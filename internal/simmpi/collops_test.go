@@ -119,18 +119,18 @@ func TestExpansionPanics(t *testing.T) {
 func TestCollectiveMidProgram(t *testing.T) {
 	const ranks = 4
 	topo := simnet.NewTopology(logp.XT4(), ranks, simnet.SpreadPlacement())
-	sim := simmpi.New(topo)
-	for r := 0; r < ranks; r++ {
+	progs := make([]simmpi.Program, ranks)
+	for r := range progs {
 		next := (r + 1) % ranks
 		prev := (r + ranks - 1) % ranks
-		sim.SetProgram(r, simmpi.Ops(
+		progs[r] = simmpi.Ops(
 			simmpi.Send(next, 512),                    // application eager traffic on ring channels
 			simmpi.AllReduceAlg(4096, simmpi.AlgRing), // collective reusing those channels
 			simmpi.Recv(prev),                         // application receive posted after the collective
 			simmpi.Barrier(),
-		))
+		)
 	}
-	res, err := sim.Run()
+	res, err := new(simmpi.Sim).Simulate(topo, progs, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 )
 
 type goldenResult struct {
@@ -36,16 +35,7 @@ func runGolden(t *testing.T, bm apps.Benchmark) simmpi.Result {
 	g := grid.Cube(96)
 	dec := grid.MustDecompose(g, 16, 16)
 	mach := machine.XT4()
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim := simmpi.New(topo)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	res, err := bm.WithIterations(1).Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,21 +140,12 @@ func TestAllocsPerEvent(t *testing.T) {
 		t.Skip("multi-second simulation")
 	}
 	g := grid.Cube(64)
-	bm := apps.Sweep3D(g, 2)
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
 	mach := machine.XT4()
 	dec := grid.MustDecompose(g, 16, 16)
 	var events uint64
 	run := func() {
-		sched, err := bm.Schedule(dec, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-		sim := simmpi.New(topo)
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
+		res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

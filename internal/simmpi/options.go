@@ -9,8 +9,8 @@ import (
 
 // Options bundles every per-run configuration knob of a Sim — the flight
 // recorder and the conservative-parallel shard count — so a simulation is
-// configured in one place: at construction (NewWithOptions) or when it is
-// rebound for another run (ResetWithOptions).
+// configured in one place: Simulate (or ResetWithOptions) takes them with
+// the topology of every run.
 //
 // The zero Options is the default serial, un-instrumented simulation.
 type Options struct {
@@ -27,7 +27,7 @@ type Options struct {
 }
 
 // Validate rejects options that cannot execute as requested. It is the
-// single checkpoint the construction and reset paths share.
+// single checkpoint: every way to a run goes through ResetWithOptions.
 func (o Options) Validate() error {
 	if o.Shards < 0 {
 		return fmt.Errorf("simmpi: negative shard count %d", o.Shards)
@@ -44,23 +44,25 @@ func (s *Sim) apply(o Options) {
 	}
 }
 
-// NewWithOptions creates a simulation over the given topology with the
-// options applied; invalid options are rejected here rather than at Run.
-// Programs are assigned with SetProgram.
+// NewWithOptions returns a Sim bound to the given topology with the options
+// applied: new(Sim) followed by ResetWithOptions, so it runs exactly the
+// code a reused Sim runs. The zero Sim is ready to use; prefer Simulate,
+// which binds, installs the programs and runs in one call. Invalid options
+// are rejected here rather than at Run.
 func NewWithOptions(topo *simnet.Topology, o Options) (*Sim, error) {
-	if err := o.Validate(); err != nil {
+	s := new(Sim)
+	if err := s.ResetWithOptions(topo, o); err != nil {
 		return nil, err
 	}
-	s := New(topo)
-	s.apply(o)
 	return s, nil
 }
 
-// ResetWithOptions rebinds the Sim to a (possibly different) topology for
-// another run, retaining the capacity of every internal pool, and applies
-// o in the same step: the Sim's configuration afterwards is exactly o, and
-// it behaves bit-identically to NewWithOptions(topo, o). The topology must
-// itself be fresh or Reset (its buses start a new virtual time axis).
+// ResetWithOptions binds the Sim — zero or previously run — to a (possibly
+// different) topology for another run, retaining the capacity of every
+// internal pool, and applies o in the same step: the Sim's configuration
+// afterwards is exactly o. Programs are then assigned with SetProgram. The
+// topology must itself be fresh or Reset (its buses start a new virtual
+// time axis).
 func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 	if err := o.Validate(); err != nil {
 		return err

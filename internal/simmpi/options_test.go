@@ -13,9 +13,9 @@ func optTopo(ranks int) *simnet.Topology {
 	return simnet.NewTopology(m.Params, ranks, simnet.LinearPlacement(m))
 }
 
-// TestOptionsValidate: invalid options fail at configuration time, at both
-// construction and reset, instead of at Run; a shard-safe recorder next to
-// shards is valid.
+// TestOptionsValidate: invalid options fail at configuration time — in
+// NewWithOptions, ResetWithOptions and Simulate alike — instead of at Run; a
+// shard-safe recorder next to shards is valid.
 func TestOptionsValidate(t *testing.T) {
 	bad := Options{Shards: -1}
 	if err := bad.Validate(); err == nil {
@@ -24,8 +24,11 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := NewWithOptions(optTopo(4), bad); err == nil {
 		t.Error("NewWithOptions accepted a negative shard count")
 	}
-	if err := New(optTopo(4)).ResetWithOptions(optTopo(4), bad); err == nil {
+	if err := new(Sim).ResetWithOptions(optTopo(4), bad); err == nil {
 		t.Error("ResetWithOptions accepted a negative shard count")
+	}
+	if _, err := new(Sim).Simulate(optTopo(4), nil, bad); err == nil {
+		t.Error("Simulate accepted a negative shard count")
 	}
 	for _, ok := range []Options{{}, {Shards: 1}, {Shards: 8}, {Obs: &obs.Recorder{Hist: true}, Shards: 8}} {
 		if err := ok.Validate(); err != nil {

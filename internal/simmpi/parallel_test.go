@@ -6,7 +6,7 @@ package simmpi_test
 // property is exercised over the paper benchmarks (eager + on-chip paths,
 // all-reduce convergence), a rendezvous-heavy synthetic exchange, and a
 // torus interconnect (deferred link replay), plus deadlock reporting and
-// Reset-reuse of a sharded simulator.
+// reuse of a sharded simulator.
 
 import (
 	"strings"
@@ -41,22 +41,8 @@ func sameFull(t *testing.T, name string, a, b simmpi.Result) {
 func runBench(t *testing.T, bm apps.Benchmark, g grid.Grid, n, m int, mach machine.Machine, spec topo.Spec, shards int) (simmpi.Result, int) {
 	t.Helper()
 	dec := grid.MustDecompose(g, n, m)
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	if err := tp.AttachInterconnect(spec); err != nil {
-		t.Fatal(err)
-	}
-	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	sim := new(simmpi.Sim)
+	res, err := bm.WithIterations(1).Simulate(sim, mach.WithInterconnect(spec), dec, simmpi.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +95,9 @@ func TestParallelMatchesSerialTorus(t *testing.T) {
 // rendezvousPrograms builds a phased neighbour exchange over n ranks mixing
 // rendezvous-sized and eager messages with skewed compute and a closing
 // all-reduce — every cross-shard protocol path in one program.
-func rendezvousPrograms(sim *simmpi.Sim, n int) {
-	for r := 0; r < n; r++ {
+func rendezvousPrograms(n int) []simmpi.Program {
+	progs := make([]simmpi.Program, n)
+	for r := range progs {
 		right, left := (r+1)%n, (r+n-1)%n
 		var ops []simmpi.Op
 		ops = append(ops, simmpi.Compute(float64(r%7)*0.9))
@@ -131,8 +118,9 @@ func rendezvousPrograms(sim *simmpi.Sim, n int) {
 		} else {
 			ops = append(ops, simmpi.Recv(left), simmpi.Send(right, 3000))
 		}
-		sim.SetProgram(r, simmpi.Ops(ops...))
+		progs[r] = simmpi.Ops(ops...)
 	}
+	return progs
 }
 
 func runRendezvous(t *testing.T, shards int) (simmpi.Result, int) {
@@ -143,12 +131,8 @@ func runRendezvous(t *testing.T, shards int) (simmpi.Result, int) {
 		t.Fatal(err)
 	}
 	tp := simnet.NewTopology(mach.Params, n, simnet.LinearPlacement(mach))
-	sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendezvousPrograms(sim, n)
-	res, err := sim.Run()
+	sim := new(simmpi.Sim)
+	res, err := sim.Simulate(tp, rendezvousPrograms(n), simmpi.Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +168,12 @@ func TestParallelDeadlockReported(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := simnet.NewTopology(mach.Params, 8, simnet.LinearPlacement(mach))
-		sim, err := simmpi.NewWithOptions(tp, simmpi.Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Rank 7 waits for a message rank 0 never sends; cross-shard at k=2.
-		sim.SetProgram(7, simmpi.Ops(simmpi.Recv(0)))
-		sim.SetProgram(0, simmpi.Ops(simmpi.Send(1, 64)))
-		sim.SetProgram(1, simmpi.Ops(simmpi.Recv(0)))
-		_, err = sim.Run()
+		progs := make([]simmpi.Program, 8)
+		progs[7] = simmpi.Ops(simmpi.Recv(0))
+		progs[0] = simmpi.Ops(simmpi.Send(1, 64))
+		progs[1] = simmpi.Ops(simmpi.Recv(0))
+		_, err = new(simmpi.Sim).Simulate(tp, progs, simmpi.Options{Shards: shards})
 		return err
 	}
 	serr, perr := run(1), run(2)
@@ -207,36 +188,17 @@ func TestParallelDeadlockReported(t *testing.T) {
 	}
 }
 
-// TestParallelResetReuse: a sharded Sim reused through ResetWithOptions
-// (the campaign engine's pattern) stays bit-identical to fresh serial runs.
+// TestParallelResetReuse: a sharded Sim reused across runs (the campaign
+// engine's pattern) stays bit-identical to fresh serial runs.
 func TestParallelResetReuse(t *testing.T) {
 	g := grid.Cube(32)
 	base, _ := runBench(t, apps.Sweep3D(g, 2), g, 8, 8, machine.XT4(), topo.Spec{}, 1)
 
-	mach := machine.XT4()
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
 	dec := grid.MustDecompose(g, 8, 8)
-	mk := func() *simnet.Topology {
-		return simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	}
-	opt := simmpi.Options{Shards: 4}
-	sim, err := simmpi.NewWithOptions(mk(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := new(simmpi.Sim)
 	for run := 0; run < 3; run++ {
-		if run > 0 {
-			if err := sim.ResetWithOptions(mk(), opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sched, err := apps.Sweep3D(g, 2).Schedule(dec, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
+		res, err := bm.Simulate(sim, machine.XT4(), dec, simmpi.Options{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

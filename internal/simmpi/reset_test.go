@@ -1,10 +1,10 @@
 package simmpi_test
 
-// Tests of the Sim.ResetWithOptions reuse API: a reset simulator must
-// behave bit-identically to a freshly constructed one (the campaign engine
-// depends on this for worker-count-independent results), and back-to-back
-// runs of the same configuration must be near-allocation-free so sweeps
-// amortise the simulator's pools across runs, not just within one.
+// Tests of Sim reuse: a Sim reused through Simulate must behave
+// bit-identically to a fresh zero Sim (the campaign engine depends on this
+// for worker-count-independent results), and back-to-back runs of the same
+// configuration must be near-allocation-free so sweeps amortise the
+// simulator's pools across runs, not just within one.
 
 import (
 	"fmt"
@@ -18,60 +18,37 @@ import (
 	"repro/internal/simnet"
 )
 
-// freshRun simulates one iteration of bm at p ranks on a new Sim.
-func freshRun(t *testing.T, bm apps.Benchmark, p int) simmpi.Result {
+// runBenchmark simulates one iteration of bm at p ranks of the XT4 on sim.
+func runBenchmark(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Result {
 	t.Helper()
 	dec, err := grid.SquareDecomposition(bm.App.Grid, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := machine.XT4()
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	sim := simmpi.New(topo)
-	for r, pr := range sched.Programs() {
-		sim.SetProgram(r, pr)
-	}
-	res, err := sim.Run()
+	res, err := bm.WithIterations(1).Simulate(sim, machine.XT4(), dec, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// resetRun simulates bm at p ranks on sim after a reset.
-func resetRun(t *testing.T, sim *simmpi.Sim, bm apps.Benchmark, p int) simmpi.Result {
+// programs returns the slice programs as the Program slice Simulate takes.
+func programs(sps []*simmpi.SliceProgram) []simmpi.Program {
+	progs := make([]simmpi.Program, len(sps))
+	for r, p := range sps {
+		progs[r] = p
+	}
+	return progs
+}
+
+// simulate runs progs on sim over topo with the default options.
+func simulate(t *testing.T, sim *simmpi.Sim, topo *simnet.Topology, progs []simmpi.Program) simmpi.Result {
 	t.Helper()
-	dec, err := grid.SquareDecomposition(bm.App.Grid, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := machine.XT4()
-	topo := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	reset(t, sim, topo)
-	for r, pr := range sched.Programs() {
-		sim.SetProgram(r, pr)
-	}
-	res, err := sim.Run()
+	res, err := sim.Simulate(topo, progs, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// reset rebinds sim to topo for a default serial run.
-func reset(t *testing.T, sim *simmpi.Sim, topo *simnet.Topology) {
-	t.Helper()
-	if err := sim.ResetWithOptions(topo, simmpi.Options{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func sameResult(t *testing.T, name string, a, b simmpi.Result) {
@@ -91,7 +68,7 @@ func sameResult(t *testing.T, name string, a, b simmpi.Result) {
 
 // TestResetBitIdentical reuses one Sim across the three paper benchmarks at
 // varying rank counts — shrinking and growing the rank array, re-shaping the
-// channel tables — and demands each run match a fresh simulator to the last
+// channel tables — and demands each run match a fresh zero Sim to the last
 // bit.
 func TestResetBitIdentical(t *testing.T) {
 	g := grid.Cube(24)
@@ -105,17 +82,14 @@ func TestResetBitIdentical(t *testing.T) {
 		{"chimaera-4", apps.Chimaera(g, 1), 4},
 		{"sweep3d-36", apps.Sweep3D(g, 2), 36},
 	}
-	mach := machine.XT4()
-	seed := simnet.NewTopology(mach.Params, 4, simnet.SpreadPlacement())
-	sim := simmpi.New(seed)
-	for r := 0; r < 4; r++ {
-		sim.SetProgram(r, simmpi.Ops(simmpi.AllReduce(8)))
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	seed := simnet.NewTopology(machine.XT4().Params, 4, simnet.SpreadPlacement())
+	sim := new(simmpi.Sim)
+	simulate(t, sim, seed, []simmpi.Program{
+		simmpi.Ops(simmpi.AllReduce(8)), simmpi.Ops(simmpi.AllReduce(8)),
+		simmpi.Ops(simmpi.AllReduce(8)), simmpi.Ops(simmpi.AllReduce(8)),
+	})
 	for _, tc := range cases {
-		sameResult(t, tc.name, freshRun(t, tc.bm, tc.p), resetRun(t, sim, tc.bm, tc.p))
+		sameResult(t, tc.name, runBenchmark(t, new(simmpi.Sim), tc.bm, tc.p), runBenchmark(t, sim, tc.bm, tc.p))
 	}
 }
 
@@ -136,64 +110,47 @@ func collectiveProgs(ranks int) []*simmpi.SliceProgram {
 	return progs
 }
 
-// collectiveRun simulates the collective mix at the given rank count on sim
-// (nil: a fresh simulator).
+// collectiveRun simulates the collective mix at the given rank count on sim.
 func collectiveRun(t *testing.T, sim *simmpi.Sim, ranks int) simmpi.Result {
 	t.Helper()
 	mach := machine.XT4()
 	topo := simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach))
-	if sim == nil {
-		sim = simmpi.New(topo)
-	} else {
-		reset(t, sim, topo)
-	}
-	for r, p := range collectiveProgs(ranks) {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return simulate(t, sim, topo, programs(collectiveProgs(ranks)))
 }
 
 // TestResetCollectiveBitIdentical reuses one Sim across collective-heavy
 // programs at shrinking and growing rank counts — exercising the pooled
 // per-rank expansion buffers — and demands bit-identity with fresh runs.
 func TestResetCollectiveBitIdentical(t *testing.T) {
-	sim := simmpi.New(simnet.NewTopology(machine.XT4().Params, 4, simnet.SpreadPlacement()))
-	for r := 0; r < 4; r++ {
-		sim.SetProgram(r, simmpi.Ops(simmpi.Barrier()))
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sim := new(simmpi.Sim)
+	simulate(t, sim, simnet.NewTopology(machine.XT4().Params, 4, simnet.SpreadPlacement()),
+		[]simmpi.Program{
+			simmpi.Ops(simmpi.Barrier()), simmpi.Ops(simmpi.Barrier()),
+			simmpi.Ops(simmpi.Barrier()), simmpi.Ops(simmpi.Barrier()),
+		})
 	for _, ranks := range []int{16, 7, 32, 16} {
 		name := fmt.Sprintf("collectives-%d", ranks)
-		sameResult(t, name, collectiveRun(t, nil, ranks), collectiveRun(t, sim, ranks))
+		sameResult(t, name, collectiveRun(t, new(simmpi.Sim), ranks), collectiveRun(t, sim, ranks))
 	}
 }
 
 // TestResetCollectiveAllocsNearZero extends the reuse contract to
 // collectives: once a Sim has expanded a collective program, re-running it
-// after Reset must stay within the same ≤8 allocs budget as point-to-point
+// through Simulate must stay within the same ≤8 allocs budget as point-to-point
 // traffic — the expansion buffers, pools and rings must all be reused.
 func TestResetCollectiveAllocsNearZero(t *testing.T) {
 	const ranks = 16
 	mach := machine.XT4()
 	topo := simnet.NewTopology(mach.Params, ranks, simnet.LinearPlacement(mach))
-	progs := collectiveProgs(ranks)
-	sim := simmpi.New(topo)
+	sps := collectiveProgs(ranks)
+	progs := programs(sps)
+	sim := new(simmpi.Sim)
 	run := func() {
 		topo.Reset()
-		reset(t, sim, topo)
-		for r, p := range progs {
+		for _, p := range sps {
 			p.Rewind()
-			sim.SetProgram(r, p)
 		}
-		if _, err := sim.Run(); err != nil {
-			t.Fatal(err)
-		}
+		simulate(t, sim, topo, progs)
 	}
 	run() // first run grows the pools and expansion buffers
 	allocs := testing.AllocsPerRun(10, run)
@@ -204,7 +161,7 @@ func TestResetCollectiveAllocsNearZero(t *testing.T) {
 }
 
 // TestResetAllocsNearZero is the reuse contract: once a Sim has run a
-// configuration, re-running it after Reset must allocate near zero — a
+// configuration, re-running it through Simulate must allocate near zero — a
 // couple of Result slices, nothing proportional to events or messages.
 func TestResetAllocsNearZero(t *testing.T) {
 	const ranks = 16
@@ -214,8 +171,8 @@ func TestResetAllocsNearZero(t *testing.T) {
 	// A neighbour ring of eager and rendezvous traffic with interleaved
 	// compute, exercising pools, rings and the bus without all-reduce
 	// generations (which allocate by design, once per generation).
-	progs := make([]*simmpi.SliceProgram, ranks)
-	for r := 0; r < ranks; r++ {
+	sps := make([]*simmpi.SliceProgram, ranks)
+	for r := range sps {
 		next := (r + 1) % ranks
 		prev := (r + ranks - 1) % ranks
 		var ops []simmpi.Op
@@ -228,22 +185,17 @@ func TestResetAllocsNearZero(t *testing.T) {
 				simmpi.Recv(prev),
 			)
 		}
-		progs[r] = simmpi.Ops(ops...)
+		sps[r] = simmpi.Ops(ops...)
 	}
-	sim := simmpi.New(topo)
+	progs := programs(sps)
+	sim := new(simmpi.Sim)
 	var events uint64
 	run := func() {
 		topo.Reset()
-		reset(t, sim, topo)
-		for r, p := range progs {
+		for _, p := range sps {
 			p.Rewind()
-			sim.SetProgram(r, p)
 		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		events = res.Events
+		events = simulate(t, sim, topo, progs).Events
 	}
 	run() // first run grows the pools
 	allocs := testing.AllocsPerRun(10, run)
@@ -255,7 +207,7 @@ func TestResetAllocsNearZero(t *testing.T) {
 }
 
 // TestFreshRunAllocsPerEvent is the roadmap's allocation guard for large
-// runs: a fresh 4,096-rank Sweep3D set-up plus run — schedule, topology,
+// runs: a fresh 4,096-rank Sweep3D Benchmark.Simulate — schedule, topology,
 // simulator, programs and the simulation itself — must stay at or below
 // 0.01 heap allocations per simulated event. Op templates, channel rings
 // and event buckets all grow in place, so nothing allocates per message.
@@ -273,19 +225,7 @@ func TestFreshRunAllocsPerEvent(t *testing.T) {
 	mach := machine.XT4()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sched, err := bm.Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := simnet.NewMachineTopology(mach, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := simmpi.New(topo)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func (p *SliceProgram) Next() (Op, bool) {
 }
 
 // Rewind returns the program to its first operation so it can be replayed
-// by a reused simulator (see Sim.ResetWithOptions).
+// by a reused simulator (see Sim.Simulate).
 func (p *SliceProgram) Rewind() { p.pos = 0 }
 
 // FuncProgram adapts a generator function to the Program interface.
@@ -164,10 +164,15 @@ func (r Result) MaxComputeTime() float64 {
 	return m
 }
 
-// Sim is a configured simulation instance. A Sim may be run once; call
-// ResetWithOptions to rebind it to a (possibly different) topology and run
-// it again reusing the event queue, message pools and channel tables of the
-// previous run.
+// Sim is a reusable simulation instance. The zero Sim is ready to use:
+// Simulate binds it to a topology, installs the rank programs and runs
+// them, and every later Simulate reuses the event queue, message pools and
+// channel tables of the previous run. Simulate is ResetWithOptions,
+// SetProgram for each rank and Run in one call; a fresh and a reused Sim
+// execute the same code.
+//
+// A Sim's shards point back at it, so a Sim must not be copied after its
+// first run: hold it by pointer.
 type Sim struct {
 	topo   *simnet.Topology
 	ranks  []rankState
@@ -280,20 +285,6 @@ type shard struct {
 	emit    int32 // per-window emission counter ordering boundary records
 }
 
-// New creates a simulation over the given topology. Programs are assigned
-// with SetProgram; ranks without a program terminate immediately.
-func New(topo *simnet.Topology) *Sim {
-	s := &Sim{
-		topo:  topo,
-		ranks: make([]rankState, topo.Ranks()),
-	}
-	for i := range s.ranks {
-		s.ranks[i].id = int32(i)
-	}
-	s.shards = []*shard{s.newShard(0)}
-	return s
-}
-
 // newShard constructs shard i with its handler installed and its snapshot
 // fields bound to the Sim's current topology.
 func (s *Sim) newShard(i int32) *shard {
@@ -345,35 +336,63 @@ func (sh *shard) clear() {
 // message and receive-request free lists, the channel rings, the per-rank
 // tables and every shard built for earlier parallel runs — so that
 // back-to-back simulations of similar size perform near-zero heap
-// allocations after the first. All programs and the flight recorder are
-// cleared. ResetWithOptions is its only caller: it applies the next run's
-// options right after.
+// allocations after the first. A Sim without shards (the zero Sim) gets
+// shard 0 here. All programs and the flight recorder are cleared.
+// ResetWithOptions is its only caller: it applies the next run's options
+// right after.
 func (s *Sim) reset(topo *simnet.Topology) {
 	s.topo = topo
 	n := topo.Ranks()
+	used := n // entries that may hold an earlier run's state
 	if n <= cap(s.ranks) {
 		s.ranks = s.ranks[:n]
 	} else {
 		old := s.ranks
 		s.ranks = make([]rankState, n)
-		copy(s.ranks, old) // carry over the allocated out tables
+		used = copy(s.ranks, old) // carry over the allocated out tables
+	}
+	for i := range s.ranks[:used] {
+		r := &s.ranks[i]
+		*r = rankState{out: r.out[:0], in: r.in[:0], coll: r.coll[:0]}
 	}
 	for i := range s.ranks {
-		out := s.ranks[i].out
-		in := s.ranks[i].in
-		coll := s.ranks[i].coll
-		s.ranks[i] = rankState{id: int32(i), out: out[:0], in: in[:0], coll: coll[:0]}
+		s.ranks[i].id = int32(i)
 	}
 	// Truncating (not clearing) keeps backing arrays; chanIndex re-claims
 	// channel slots and ring regions, and AllocSlot repopulates the pools
 	// in the same order a fresh Sim would.
 	s.arGens = s.arGens[:0]
 	s.obs = nil
+	if len(s.shards) == 0 {
+		s.shards = []*shard{s.newShard(0)}
+	}
 	for _, sh := range s.shards {
 		sh.clear()
 		sh.bind()
 	}
 }
+
+// Simulate runs one simulation: it rebinds the Sim to topo with options o
+// (ResetWithOptions), installs progs[r] as rank r's program and runs to
+// completion. Ranks beyond len(progs) run no program and terminate
+// immediately. More programs than ranks is an error, reported before the
+// Sim is touched.
+func (s *Sim) Simulate(topo *simnet.Topology, progs []Program, o Options) (Result, error) {
+	if len(progs) > topo.Ranks() {
+		return Result{}, fmt.Errorf("simmpi: %d programs for %d ranks", len(progs), topo.Ranks())
+	}
+	if err := s.ResetWithOptions(topo, o); err != nil {
+		return Result{}, err
+	}
+	for r, p := range progs {
+		s.SetProgram(r, p)
+	}
+	return s.Run()
+}
+
+// Topology returns the topology the Sim was last bound to, so callers can
+// read its interconnect statistics after a run.
+func (s *Sim) Topology() *simnet.Topology { return s.topo }
 
 // SetProgram assigns rank r's program.
 func (s *Sim) SetProgram(r int, p Program) { s.ranks[r].prog = p }

@@ -22,14 +22,26 @@ func almostEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }
 
+// simulate runs progs (rank r gets progs[r]) on a fresh Sim over topo.
+func simulate(topo *simnet.Topology, progs ...Program) (Result, error) {
+	return new(Sim).Simulate(topo, progs, Options{})
+}
+
+// allReduces returns n programs that each perform one all-reduce of the
+// given size.
+func allReduces(n, bytes int) []Program {
+	progs := make([]Program, n)
+	for r := range progs {
+		progs[r] = Ops(AllReduce(bytes))
+	}
+	return progs
+}
+
 // runPair runs a single send on rank 0 and a single receive on rank 1 with
 // the receive pre-posted, returning rank finish times.
 func runPair(t *testing.T, topo *simnet.Topology, bytes int) Result {
 	t.Helper()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, bytes)))
-	s.SetProgram(1, Ops(Recv(0)))
-	res, err := s.Run()
+	res, err := simulate(topo, Ops(Send(1, bytes)), Ops(Recv(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +106,8 @@ func TestLargeOnChipMatchesEquation6(t *testing.T) {
 
 func TestLateRecvDelaysCompletion(t *testing.T) {
 	p := logp.XT4()
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, 512)))
 	const busy = 1000.0
-	s.SetProgram(1, Ops(Compute(busy), Recv(0)))
-	res, err := s.Run()
+	res, err := simulate(offNodePair(), Ops(Send(1, 512)), Ops(Compute(busy), Recv(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +120,8 @@ func TestLateRecvDelaysCompletion(t *testing.T) {
 
 func TestLateRecvRendezvousHoldsSender(t *testing.T) {
 	p := logp.XT4()
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, 4096)))
 	const busy = 1000.0
-	s.SetProgram(1, Ops(Compute(busy), Recv(0)))
-	res, err := s.Run()
+	res, err := simulate(offNodePair(), Ops(Send(1, 4096)), Ops(Compute(busy), Recv(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +138,7 @@ func TestLateRecvRendezvousHoldsSender(t *testing.T) {
 
 func TestMessageOrderingFIFO(t *testing.T) {
 	// Two sends with different sizes must match receives in order.
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, 100), Send(1, 200)))
-	s.SetProgram(1, Ops(Recv(0), Recv(0)))
-	res, err := s.Run()
+	res, err := simulate(offNodePair(), Ops(Send(1, 100), Send(1, 200)), Ops(Recv(0), Recv(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +149,13 @@ func TestMessageOrderingFIFO(t *testing.T) {
 
 func TestManyRoundTripsAccumulate(t *testing.T) {
 	p := logp.XT4()
-	topo := offNodePair()
-	s := New(topo)
 	const rounds = 10
 	var o0, o1 []Op
 	for i := 0; i < rounds; i++ {
 		o0 = append(o0, Send(1, 512), Recv(1))
 		o1 = append(o1, Recv(0), Send(0, 512))
 	}
-	s.SetProgram(0, Ops(o0...))
-	s.SetProgram(1, Ops(o1...))
-	res, err := s.Run()
+	res, err := simulate(offNodePair(), Ops(o0...), Ops(o1...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +166,7 @@ func TestManyRoundTripsAccumulate(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Recv(1)))
-	s.SetProgram(1, Ops(Recv(0)))
-	_, err := s.Run()
+	_, err := simulate(offNodePair(), Ops(Recv(1)), Ops(Recv(0)))
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
 	}
@@ -185,32 +177,20 @@ func TestRendezvousMutualSendDeadlocks(t *testing.T) {
 	// waiting for the peer to post a receive that is queued behind the
 	// send. Eager messages slip through (see the next test); above the
 	// threshold this deadlocks, and the simulator must report it.
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, 4096), Recv(1)))
-	s.SetProgram(1, Ops(Send(0, 4096), Recv(0)))
-	_, err := s.Run()
+	_, err := simulate(offNodePair(), Ops(Send(1, 4096), Recv(1)), Ops(Send(0, 4096), Recv(0)))
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected rendezvous deadlock, got %v", err)
 	}
 }
 
 func TestEagerSendsDoNotDeadlock(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(1, 64), Recv(1)))
-	s.SetProgram(1, Ops(Send(0, 64), Recv(0)))
-	if _, err := s.Run(); err != nil {
+	if _, err := simulate(offNodePair(), Ops(Send(1, 64), Recv(1)), Ops(Send(0, 64), Recv(0))); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestComputeAccounting(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Compute(5), Compute(7)))
-	s.SetProgram(1, Ops(Compute(1)))
-	res, err := s.Run()
+	res, err := simulate(offNodePair(), Ops(Compute(5), Compute(7)), Ops(Compute(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +206,7 @@ func TestComputeAccounting(t *testing.T) {
 }
 
 func TestEmptyProgramsFinishAtZero(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	res, err := s.Run()
+	res, err := simulate(offNodePair())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +222,7 @@ func TestAllReduceSingleCorePerNodeMatchesEquation9(t *testing.T) {
 	p := logp.XT4()
 	for _, P := range []int{2, 4, 8, 16, 64} {
 		topo := simnet.NewTopology(p, P, simnet.SpreadPlacement())
-		s := New(topo)
-		for r := 0; r < P; r++ {
-			s.SetProgram(r, Ops(AllReduce(8)))
-		}
-		res, err := s.Run()
+		res, err := simulate(topo, allReduces(P, 8)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,11 +236,7 @@ func TestAllReduceSingleCorePerNodeMatchesEquation9(t *testing.T) {
 func TestAllReduceNonPowerOfTwo(t *testing.T) {
 	p := logp.XT4()
 	topo := simnet.NewTopology(p, 6, simnet.SpreadPlacement())
-	s := New(topo)
-	for r := 0; r < 6; r++ {
-		s.SetProgram(r, Ops(AllReduce(8)))
-	}
-	res, err := s.Run()
+	res, err := simulate(topo, allReduces(6, 8)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,28 +249,21 @@ func TestAllReduceNonPowerOfTwo(t *testing.T) {
 }
 
 func TestAllReduceMismatchedSizesPanics(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(AllReduce(8)))
-	s.SetProgram(1, Ops(AllReduce(16)))
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for mismatched all-reduce sizes")
 		}
 	}()
-	_, _ = s.Run()
+	_, _ = simulate(offNodePair(), Ops(AllReduce(8)), Ops(AllReduce(16)))
 }
 
 func TestSendToSelfPanics(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(0, 8)))
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	_, _ = s.Run()
+	_, _ = simulate(offNodePair(), Ops(Send(0, 8)))
 }
 
 func TestBusContentionEmergesOffNode(t *testing.T) {
@@ -310,12 +273,7 @@ func TestBusContentionEmergesOffNode(t *testing.T) {
 	p := logp.XT4()
 	mach := machine.XT4()
 	topo := simnet.NewTopology(p, 4, simnet.LinearPlacement(mach)) // (0,1) node A, (2,3) node B
-	s := New(topo)
-	s.SetProgram(0, Ops(Send(2, 8192)))
-	s.SetProgram(1, Ops(Send(3, 8192)))
-	s.SetProgram(2, Ops(Recv(0)))
-	s.SetProgram(3, Ops(Recv(1)))
-	res, err := s.Run()
+	res, err := simulate(topo, Ops(Send(2, 8192)), Ops(Send(3, 8192)), Ops(Recv(0)), Ops(Recv(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,17 +293,14 @@ func TestBusContentionEmergesOffNode(t *testing.T) {
 }
 
 func TestFuncProgram(t *testing.T) {
-	topo := offNodePair()
-	s := New(topo)
 	n := 0
-	s.SetProgram(0, FuncProgram(func() (Op, bool) {
+	res, err := simulate(offNodePair(), FuncProgram(func() (Op, bool) {
 		if n >= 3 {
 			return Op{}, false
 		}
 		n++
 		return Compute(2), true
 	}))
-	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,24 +310,40 @@ func TestFuncProgram(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	build := func() *Sim {
+	run := func() (Result, error) {
 		topo := simnet.NewTopology(logp.XT4(), 4, simnet.LinearPlacement(machine.XT4()))
-		s := New(topo)
-		s.SetProgram(0, Ops(Send(2, 4096), Recv(3), AllReduce(8)))
-		s.SetProgram(1, Ops(Send(3, 100), Recv(2), AllReduce(8)))
-		s.SetProgram(2, Ops(Recv(0), Send(1, 2000), AllReduce(8)))
-		s.SetProgram(3, Ops(Recv(1), Send(0, 50), AllReduce(8)))
-		return s
+		return simulate(topo,
+			Ops(Send(2, 4096), Recv(3), AllReduce(8)),
+			Ops(Send(3, 100), Recv(2), AllReduce(8)),
+			Ops(Recv(0), Send(1, 2000), AllReduce(8)),
+			Ops(Recv(1), Send(0, 50), AllReduce(8)))
 	}
-	r1, err := build().Run()
+	r1, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := build().Run()
+	r2, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Time != r2.Time || r1.Events != r2.Events {
 		t.Errorf("non-deterministic: %v/%d vs %v/%d", r1.Time, r1.Events, r2.Time, r2.Events)
+	}
+}
+
+// TestSimulateRejectsExtraPrograms: more programs than ranks is an error,
+// not an index panic, and leaves the Sim usable for a valid run.
+func TestSimulateRejectsExtraPrograms(t *testing.T) {
+	s := new(Sim)
+	_, err := s.Simulate(offNodePair(), []Program{Ops(), Ops(), Ops(Compute(1))}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "3 programs for 2 ranks") {
+		t.Fatalf("err = %v, want a program-count error", err)
+	}
+	res, err := s.Simulate(offNodePair(), []Program{Ops(Compute(2))}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Time != 2 {
+		t.Errorf("Time = %v after the rejected run, want 2", res.Time)
 	}
 }

@@ -22,19 +22,8 @@ import (
 func runWithInterconnect(t *testing.T, g grid.Grid, n, m int, mach machine.Machine, spec topo.Spec) simmpi.Result {
 	t.Helper()
 	dec := grid.MustDecompose(g, n, m)
-	sched, err := apps.Sweep3D(g, 2).Schedule(dec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	if err := tp.AttachInterconnect(spec); err != nil {
-		t.Fatal(err)
-	}
-	sim := simmpi.New(tp)
-	for r, p := range sched.Programs() {
-		sim.SetProgram(r, p)
-	}
-	res, err := sim.Run()
+	bm := apps.Sweep3D(g, 2).WithIterations(1)
+	res, err := bm.Simulate(new(simmpi.Sim), mach.WithInterconnect(spec), dec, simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +93,8 @@ func TestResetClearsInterconnect(t *testing.T) {
 	g := grid.Cube(24)
 	mach := machine.XT4()
 	dec := grid.MustDecompose(g, 6, 6)
-	tp := simnet.NewTopology(mach.Params, dec.P(), simnet.GridPlacement(dec, mach))
-	if err := tp.AttachInterconnect(topo.Spec{Kind: topo.FatTree}); err != nil {
+	tp, err := simnet.NewMachineTopology(mach.WithInterconnect(topo.Spec{Kind: topo.FatTree}), dec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(sim *simmpi.Sim) simmpi.Result {
@@ -113,19 +102,11 @@ func TestResetClearsInterconnect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return simulate(t, sim, tp, sched.Programs())
 	}
-	sim := simmpi.New(tp)
+	sim := new(simmpi.Sim)
 	first := run(sim)
 	tp.Reset()
-	reset(t, sim, tp)
 	second := run(sim)
 	sameResult(t, "reset", first, second)
 	if first.LinkWait != second.LinkWait || first.LinkRequests != second.LinkRequests {

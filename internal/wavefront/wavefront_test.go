@@ -204,12 +204,11 @@ func TestRecvBeforeComputeBeforeSend(t *testing.T) {
 
 func runSchedule(t *testing.T, s *Schedule, mach machine.Machine) simmpi.Result {
 	t.Helper()
-	topo := simnet.NewTopology(mach.Params, s.Dec.P(), simnet.GridPlacement(s.Dec, mach))
-	sim := simmpi.New(topo)
-	for r, p := range s.Programs() {
-		sim.SetProgram(r, p)
+	topo, err := simnet.NewMachineTopology(mach, s.Dec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := new(simmpi.Sim).Simulate(topo, s.Programs(), simmpi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
