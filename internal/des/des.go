@@ -10,7 +10,8 @@
 // monotone radix queue — no closures, no container/heap interface boxing —
 // and dispatched through a single Handler installed with SetHandler. The
 // queue exploits the engine never scheduling into the past: (time, seq)
-// keys only ever increase past the last executed event. A simulation
+// keys, and the (time, ctx) keys of canonically ordered events, only ever
+// increase past the last executed event. A simulation
 // encodes each state-machine transition as a Kind and small integer
 // operands (a rank index, a pooled-object index) in the args.
 //
@@ -31,8 +32,8 @@ type Engine struct {
 	ran     uint64
 	handler Handler
 	events  radixQueue
-	events3 eventHeap3 // canonically ordered events (AtPri / AtPriCtx)
-	pay     []payload  // pending-event payloads, indexed by order slot
+	events3 radixQueue3 // canonically ordered events (AtPri / AtPriCtx)
+	pay     []payload   // pending-event payloads, indexed by order slot
 	payFree []int32
 }
 
@@ -122,6 +123,14 @@ const maxPri = 1<<(64-slotBits) - 1
 // whose same-context same-time ties are broken consistently by pri
 // therefore fires events in exactly the same order on one engine or many.
 //
+// An event at the current time must not carry a ctx below that of the
+// executing event (CurCtx): the pair (time, ctx) never falls below the last
+// executed one, which is what lets a radix queue hold canonical events. An
+// inline event (AtPri) has ctx = now, at least the executing event's ctx,
+// and the sharded scheduler injects its barrier events at or after the
+// window end, past every event a shard executed in the window, so simmpi
+// never breaks the rule.
+//
 // Canonical and sequence-ordered events must not be mixed in one run: an
 // engine with pending events from both APIs panics on Step.
 func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) {
@@ -130,6 +139,9 @@ func (e *Engine) AtPriCtx(t, ctx float64, pri uint64, k Kind, arg0, arg1 int32) 
 	}
 	if ctx < 0 || ctx > t || math.IsNaN(ctx) {
 		panic(fmt.Sprintf("des: scheduling context %v outside [0, %v]", ctx, t))
+	}
+	if t == e.now && ctx < e.curCtx {
+		panic(fmt.Sprintf("des: event at the current time %v with context %v below the executing event's context %v", t, ctx, e.curCtx))
 	}
 	if k == 0 {
 		panic("des: event kind 0 is invalid")
@@ -167,7 +179,8 @@ func (e *Engine) CurCtx() float64 { return e.curCtx }
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	if e.events3.len() > 0 {
-		return e.stepCanonical()
+		e.fireCanonical(e.events3.pop())
+		return true
 	}
 	if e.events.len() == 0 {
 		return false
@@ -185,12 +198,12 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// stepCanonical executes the next canonically ordered event (AtPriCtx).
-func (e *Engine) stepCanonical() bool {
+// fireCanonical executes a canonically ordered event (AtPriCtx) just
+// removed from the queue.
+func (e *Engine) fireCanonical(ev heapEvent3) {
 	if e.events.len() > 0 {
 		panic("des: canonical (AtPriCtx) and sequence-ordered (AtKind) events pending in one engine")
 	}
-	ev := e.events3.pop()
 	slot := int32(ev.order & slotMask)
 	p := e.pay[slot]
 	e.payFree = append(e.payFree, slot)
@@ -201,7 +214,6 @@ func (e *Engine) stepCanonical() bool {
 		panic(fmt.Sprintf("des: typed event kind %d with no handler installed", p.kind))
 	}
 	e.handler(Event{Time: e.now, Seq: ev.order >> slotBits, Kind: p.kind, Arg0: p.arg0, Arg1: p.arg1})
-	return true
 }
 
 // Run executes events until none remain and returns the final virtual time.
@@ -229,10 +241,23 @@ func (e *Engine) NextEventTime() (t float64, ok bool) {
 // remain schedulable — the property the sharded scheduler (Group) relies on
 // when it injects cross-shard events at window barriers.
 func (e *Engine) RunBefore(t float64) {
+	if !(t > 0) {
+		return // event times are non-negative
+	}
+	limit := math.Float64bits(t)
 	for {
-		next, ok := e.NextEventTime()
-		if !ok || next >= t {
-			break
+		if e.events3.len() > 0 {
+			// One bounded pop per event: a peek and a pop would scan the
+			// lowest bucket twice.
+			ev, ok := e.events3.popBefore(limit)
+			if !ok {
+				return
+			}
+			e.fireCanonical(ev)
+			continue
+		}
+		if e.events.len() == 0 || e.events.top().tbits >= limit {
+			return
 		}
 		e.Step()
 	}

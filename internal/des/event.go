@@ -65,7 +65,7 @@ type payload struct {
 	arg0, arg1 int32
 }
 
-// heapEvent3 is the in-heap record of a canonically ordered event
+// heapEvent3 is the queued record of a canonically ordered event
 // (Engine.AtPriCtx): a 24-byte key triple ordered lexicographically by
 // (tbits, ctx, order). tbits and order are as in heapEvent, except that the
 // high bits of order hold the caller's content-derived priority instead of
@@ -93,68 +93,3 @@ func ev3Less(a, b heapEvent3) bool {
 	}
 	return a.order < b.order
 }
-
-// eventHeap3 is a plain 4-ary min-heap of heapEvent3 records. It serves the
-// canonical-order mode only — parallel shard engines, whose per-event cost
-// is dominated by cross-shard bookkeeping. Canonical keys are not monotone
-// (a zero-delay event may carry a smaller pri, and a barrier-injected event
-// may land below the last popped key), so the radix queue cannot hold them.
-type eventHeap3 struct {
-	buf []heapEvent3
-}
-
-func (h *eventHeap3) len() int { return len(h.buf) }
-
-func (h *eventHeap3) clear() { h.buf = h.buf[:0] }
-
-func (h *eventHeap3) push(ev heapEvent3) {
-	h.buf = append(h.buf, ev)
-	i := len(h.buf) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev3Less(ev, h.buf[p]) {
-			break
-		}
-		h.buf[i] = h.buf[p]
-		i = p
-	}
-	h.buf[i] = ev
-}
-
-func (h *eventHeap3) pop() heapEvent3 {
-	s := h.buf
-	n := len(s) - 1
-	min := s[0]
-	last := s[n]
-	h.buf = s[:n]
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if ev3Less(s[j], s[best]) {
-				best = j
-			}
-		}
-		if !ev3Less(s[best], last) {
-			break
-		}
-		s[i] = s[best]
-		i = best
-	}
-	s[i] = last
-	return min
-}
-
-// top returns the minimum event without removing it.
-func (h *eventHeap3) top() heapEvent3 { return h.buf[0] }

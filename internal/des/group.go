@@ -13,9 +13,10 @@ package des
 // barrier callback — which runs single-threaded between windows, with every
 // shard goroutine parked — merges and applies them in a deterministic
 // order. Determinism therefore does not depend on goroutine scheduling:
-// shard-local event order is the engine's (time, seq) order, and boundary
-// effects are ordered by the barrier's merge, making the whole parallel
-// run bit-identical for any shard count (including 1).
+// shard-local event order is the engine's canonical (time, ctx, pri) order
+// (Engine.AtPriCtx), and boundary effects are ordered by the barrier's
+// merge, making the whole parallel run bit-identical for any shard count
+// (including 1).
 //
 // The Group owns only the windowing machinery: worker goroutines, the
 // window barrier, and progress/stall statistics. What a "boundary effect"
@@ -94,7 +95,16 @@ func (g *Group) SetObserver(fn WindowObserver) { g.obs = fn }
 // must not touch each other's state inside a window; the Group supplies
 // the happens-before edges (worker channel synchronisation) that make the
 // alternation race-free.
+//
+// Every engine's queue is empty when Run returns, and Run drops the
+// canonical queues' bucket arrays, which hold about ten times the peak
+// pending count.
 func (g *Group) Run(barrier func()) {
+	defer func() {
+		for _, eng := range g.engines {
+			eng.events3.release()
+		}
+	}()
 	if len(g.engines) == 1 {
 		// One shard cannot interact across a boundary mid-window, but the
 		// barrier must still drain buffered effects (e.g. link-routed

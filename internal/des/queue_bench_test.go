@@ -1,13 +1,18 @@
 package des
 
 // The hold model (steady-state pop/push at a random time increment) over
-// the engine's radix queue, at queue sizes bracketing what real runs reach
+// the engine's radix queues, at queue sizes bracketing what real runs reach
 // (a 16K-rank wavefront keeps ~16K events pending; a 64K-rank one ~100K
-// per shard). Run with:
+// per shard). The canonical variants hold the 24-byte (time, ctx, pri)
+// queue of sharded runs at the pending counts of a 16K-rank run at 2 and 1
+// shards; each pushed event takes the popped event's time as its ctx, and
+// the burst variant pushes 64 events in a row onto one (time, ctx) key, as
+// a wavefront step does. Run with:
 //
 //	go test -run '^$' -bench BenchmarkQueueHold ./internal/des/
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -25,6 +30,26 @@ func benchHold(b *testing.B, size int, incr func(*rand.Rand) float64) {
 		ev := q.pop()
 		q.push(mkEvent(ev.time()+incr(rng), seq))
 		seq++
+	}
+}
+
+func benchHold3(b *testing.B, size, burst int, incr func(*rand.Rand) float64) {
+	rng := rand.New(rand.NewSource(1))
+	mk := func(t, ctx float64, i uint64) heapEvent3 {
+		return heapEvent3{tbits: math.Float64bits(t), ctx: math.Float64bits(ctx), order: i&maxPri<<slotBits | i&slotMask}
+	}
+	var q radixQueue3
+	for i := 0; i < size; i++ {
+		q.push(mk(rng.Float64()*float64(size)*0.01, 0, uint64(i)))
+	}
+	var key heapEvent3
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := q.pop()
+		if i%burst == 0 || keyLess(key, ev) {
+			key = mk(ev.time()+incr(rng), ev.time(), 0)
+		}
+		q.push(mk(key.time(), math.Float64frombits(key.ctx), uint64(size+i)))
 	}
 }
 
@@ -52,5 +77,15 @@ func BenchmarkQueueHold(b *testing.B) {
 				benchHold(b, size, d.incr)
 			})
 		}
+	}
+	for _, size := range []int{1 << 13, 1 << 14} {
+		for _, d := range dists {
+			b.Run("canonical/"+d.name+"/n="+strconv.Itoa(size), func(b *testing.B) {
+				benchHold3(b, size, 1, d.incr)
+			})
+		}
+		b.Run("canonical/burst/n="+strconv.Itoa(size), func(b *testing.B) {
+			benchHold3(b, size, 64, dists[0].incr)
+		})
 	}
 }

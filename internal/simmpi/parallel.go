@@ -46,8 +46,9 @@ package simmpi
 // on tie-heavy workloads.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/logp"
@@ -345,17 +346,36 @@ func (sh *shard) emitCTS(t float64, mi int32) {
 
 // --- barrier coordination (single-threaded, between windows) ---
 
-func recLess(a, b *crossRec) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// cmpRec orders boundary records by (time, rank, shard, emission).
+func cmpRec(a, b crossRec) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
 	}
-	if a.rank != b.rank {
-		return a.rank < b.rank
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
 	}
-	if a.shard != b.shard {
-		return a.shard < b.shard
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
 	}
-	return a.idx < b.idx
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// cmpLinkOp orders deferred link reservations by the canonical order of
+// their injection events, (t, ctx, pri), then by (shard, emission).
+func cmpLinkOp(a, b linkOp) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ctx, b.ctx); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.pri, b.pri); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // barrier drains every shard's boundary buffers and applies them in the
@@ -382,30 +402,15 @@ func (s *Sim) barrier(p *parRun) {
 		}
 		sh.emit = 0
 	}
-	sort.Slice(p.msgs, func(i, j int) bool { return recLess(&p.msgs[i], &p.msgs[j]) })
+	slices.SortFunc(p.msgs, cmpRec)
 	for i := range p.msgs {
 		s.applyMsg(p, &p.msgs[i])
 	}
-	sort.Slice(p.links, func(i, j int) bool {
-		a, b := &p.links[i], &p.links[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if a.ctx != b.ctx {
-			return a.ctx < b.ctx
-		}
-		if a.pri != b.pri {
-			return a.pri < b.pri
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		return a.idx < b.idx
-	})
+	slices.SortFunc(p.links, cmpLinkOp)
 	for i := range p.links {
 		s.applyLink(p, &p.links[i])
 	}
-	sort.Slice(p.others, func(i, j int) bool { return recLess(&p.others[i], &p.others[j]) })
+	slices.SortFunc(p.others, cmpRec)
 	for i := range p.others {
 		s.applyRec(p, &p.others[i])
 	}

@@ -212,6 +212,17 @@ func TestResetAllocsNearZero(t *testing.T) {
 // 0.01 heap allocations per simulated event. Op templates, channel rings
 // and event buckets all grow in place, so nothing allocates per message.
 func TestFreshRunAllocsPerEvent(t *testing.T) {
+	checkFreshRunAllocs(t, simmpi.Options{})
+}
+
+// TestShardedRunAllocsPerEvent holds a 2-shard run of the same
+// configuration to the same bound: the barrier between windows reuses its
+// record buffers and sorts them without allocating.
+func TestShardedRunAllocsPerEvent(t *testing.T) {
+	checkFreshRunAllocs(t, simmpi.Options{Shards: 2})
+}
+
+func checkFreshRunAllocs(t *testing.T, opts simmpi.Options) {
 	g := grid.NewGrid(64, 64, 32)
 	bm, err := apps.Preset("sweep3d", g, 0)
 	if err != nil {
@@ -225,7 +236,7 @@ func TestFreshRunAllocsPerEvent(t *testing.T) {
 	mach := machine.XT4()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, simmpi.Options{})
+	res, err := bm.Simulate(new(simmpi.Sim), mach, dec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +244,6 @@ func TestFreshRunAllocsPerEvent(t *testing.T) {
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.Events)
 	t.Logf("%d allocs over %d events: %.4f per event", after.Mallocs-before.Mallocs, res.Events, perEvent)
 	if perEvent > 0.01 {
-		t.Errorf("fresh 4096-rank run: %.4f allocs per event, want ≤ 0.01", perEvent)
+		t.Errorf("fresh 4096-rank run at %d shards: %.4f allocs per event, want ≤ 0.01", opts.Shards, perEvent)
 	}
 }
