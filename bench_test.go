@@ -8,7 +8,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/apps"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/logp"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
-	"repro/internal/simnet"
 	"repro/internal/sweep"
 )
 
@@ -269,63 +267,6 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		events = res.Events
 	}
 	b.ReportMetric(float64(events), "events/run")
-}
-
-// benchParallelEventRate measures aggregate discrete-event throughput of a
-// huge Sweep3D run — 65,536 ranks on a 256×256 decomposition — at the given
-// shard count. Setup (schedule expansion, topology and program installation)
-// is excluded from the timer so the metric isolates Run itself, which is why
-// it drives the step-wise Sim API rather than Simulate; shards=1 is the
-// serial reference the speedup is read against.
-func benchParallelEventRate(b *testing.B, shards int) {
-	g := grid.NewGrid(256, 256, 32)
-	bm := apps.Sweep3D(g, 2)
-	mach := machine.XT4()
-	dec := grid.MustDecompose(g, 256, 256)
-	var events, windows, stalls uint64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sched, err := bm.Schedule(dec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		topo, err := simnet.NewMachineTopology(mach, dec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := simmpi.NewWithOptions(topo, simmpi.Options{Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for r, p := range sched.Programs() {
-			sim.SetProgram(r, p)
-		}
-		b.StartTimer()
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		events = res.Events
-		_, windows, stalls = sim.ParallelStats()
-	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	if windows > 0 {
-		b.ReportMetric(float64(stalls)/float64(windows), "stalls/window")
-	}
-}
-
-// BenchmarkParallelEventRate is the conservative-parallel headline: the
-// 64K-rank run of benchParallelEventRate across shard counts. The shards=4
-// aggregate events/s is the number tracked by cmd/benchjson.
-func BenchmarkParallelEventRate(b *testing.B) {
-	if testing.Short() {
-		b.Skip("heavy simulation")
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			benchParallelEventRate(b, k)
-		})
-	}
 }
 
 // BenchmarkTransportKernel measures the real transport kernel's per-cell

@@ -16,18 +16,13 @@
 //     (fails below (1−threshold)×baseline)
 //   - allocs_per_event: allocation rate of the hot path — deterministic,
 //     so it is gated absolutely: it may not exceed baseline + 0.05
-//   - parallel_events_per_sec: the same workload at 4 shards
-//     (fails below (1−threshold)×baseline)
-//   - barrier_stalls_per_window: sharded-scheduler load imbalance,
-//     deterministic; may not exceed baseline + 0.25
 //   - events_per_sec_obs_disabled: the event-rate workload with the
 //     observability recorder explicitly detached — holds the nil-guarded
 //     hooks to their zero-cost-when-disabled claim
 //     (fails below (1−threshold)×baseline)
 //
-// The parallel and obs-disabled gates are skipped when the baseline
-// predates the corresponding subsystem and lacks the fields, so old
-// blessed baselines pass.
+// The obs-disabled gate is skipped when the baseline predates the
+// observability layer and lacks the field, so old blessed baselines pass.
 //
 // Exit status 0 when every gate passes, 1 on regression, 2 on bad input.
 // To bless a new baseline, see README.md ("CI performance gate").
@@ -47,12 +42,6 @@ type metrics struct {
 	CampaignRunsPerSec float64 `json:"campaign_runs_per_sec"`
 	AllocsPerEvent     float64 `json:"allocs_per_event"`
 	GeneratedUnix      int64   `json:"generated_unix"`
-
-	// Conservative-parallel metrics (absent in baselines recorded before
-	// the sharded scheduler existed — those gates are skipped then, so an
-	// old blessed baseline still passes).
-	ParallelEventsPerSec   float64 `json:"parallel_events_per_sec"`
-	BarrierStallsPerWindow float64 `json:"barrier_stalls_per_window"`
 
 	// Observability-disabled throughput (absent in baselines recorded
 	// before the obs layer existed — the gate is skipped then).
@@ -109,11 +98,6 @@ func main() {
 	}
 	gate("events_per_sec", base.EventsPerSec, cur.EventsPerSec)
 	gate("campaign_runs_per_sec", base.CampaignRunsPerSec, cur.CampaignRunsPerSec)
-	if base.ParallelEventsPerSec > 0 {
-		gate("parallel_events_per_sec", base.ParallelEventsPerSec, cur.ParallelEventsPerSec)
-	} else {
-		fmt.Printf("%-22s skipped (baseline lacks parallel metrics)\n", "parallel_events_per_sec")
-	}
 	if base.EventsPerSecObsDisabled > 0 {
 		gate("events/s_obs_disabled", base.EventsPerSecObsDisabled, cur.EventsPerSecObsDisabled)
 	} else {
@@ -130,20 +114,6 @@ func main() {
 	}
 	fmt.Printf("%-22s baseline %12.4g  current %12.4g  ceiling %12.4g  %s\n",
 		"allocs_per_event", base.AllocsPerEvent, cur.AllocsPerEvent, base.AllocsPerEvent+allocSlack, status)
-
-	// Stalls per window are deterministic for a fixed workload; the slack
-	// only covers intentional workload evolution, not scheduler drift.
-	if base.ParallelEventsPerSec > 0 {
-		const stallSlack = 0.25
-		status := "ok"
-		if cur.BarrierStallsPerWindow > base.BarrierStallsPerWindow+stallSlack {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Printf("%-22s baseline %12.4g  current %12.4g  ceiling %12.4g  %s\n",
-			"barrier_stalls/window", base.BarrierStallsPerWindow, cur.BarrierStallsPerWindow,
-			base.BarrierStallsPerWindow+stallSlack, status)
-	}
 
 	if failed {
 		fmt.Printf("\nperformance gate FAILED (threshold %.0f%%). If the regression is intended,\n", *threshold*100)

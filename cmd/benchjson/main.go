@@ -9,10 +9,7 @@
 // The headline metric reproduces BenchmarkSimulatorEventRate: one full
 // Sweep3D iteration (64³ grid, 16×16 decomposition, 256 ranks on the XT4
 // model) per op, reporting discrete-event throughput and the per-event
-// allocation rate. The same workload is repeated at 4 conservative-parallel
-// shards (parallel_events_per_sec, barrier_stalls_per_window) so the serial
-// and sharded trajectories are directly comparable. Batch throughput is
-// tracked alongside them: the built-in example campaign (24 model+simulator
+// allocation rate. Batch throughput is tracked alongside it: the built-in example campaign (24 model+simulator
 // runs across the sweep dimensions) executed on the full worker pool,
 // reported in runs per second. A handful of experiment drivers are timed as
 // end-to-end regression canaries.
@@ -61,16 +58,6 @@ type report struct {
 	CampaignWorkers    int     `json:"campaign_workers"`
 	CampaignSeconds    float64 `json:"campaign_seconds"`
 	CampaignRunsPerSec float64 `json:"campaign_runs_per_sec"`
-
-	// Conservative-parallel throughput: the event-rate workload run at
-	// K=4 shards (simmpi.Options{Shards: 4}), so the two events/s columns are
-	// directly comparable. barrier_stalls_per_window is deterministic —
-	// the fraction of (shard, window) pairs that ran no events, the load-
-	// imbalance diagnostic of the sharded scheduler.
-	ParallelShards         int     `json:"parallel_shards"`
-	ParallelEventsPerSec   float64 `json:"parallel_events_per_sec"`
-	ParallelWindows        uint64  `json:"parallel_windows"`
-	BarrierStallsPerWindow float64 `json:"barrier_stalls_per_window"`
 
 	Drivers       []driverTiming `json:"drivers"`
 	GeneratedUnix int64          `json:"generated_unix"`
@@ -136,29 +123,6 @@ func eventRate(iters int) (nsPerOp float64, events uint64, allocsPerOp, bytesPer
 	return nsPerOp, events, allocsPerOp, bytesPerOp
 }
 
-// parallelRate runs the event-rate workload at the given shard count
-// (after one warm-up) and reports wall time per op plus the scheduler's
-// window statistics.
-func parallelRate(iters, shards int) (nsPerOp float64, events, windows, stalls uint64) {
-	bm, mach, dec := eventRateWorkload()
-	run := func() {
-		sim := new(simmpi.Sim)
-		res, err := bm.Simulate(sim, mach, dec, simmpi.Options{Shards: shards})
-		if err != nil {
-			panic(err)
-		}
-		events = res.Events
-		_, windows, stalls = sim.ParallelStats()
-	}
-	run() // warm-up
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		run()
-	}
-	nsPerOp = float64(time.Since(start).Nanoseconds()) / float64(iters)
-	return nsPerOp, events, windows, stalls
-}
-
 func main() {
 	out := flag.String("o", "BENCH_simmpi.json", "output path")
 	iters := flag.Int("benchtime", 10, "iteration count for the event-rate benchmark")
@@ -166,7 +130,6 @@ func main() {
 
 	nsPerOp, events, allocsPerOp, bytesPerOp := eventRate(*iters)
 	obsNsPerOp, obsEvents, _, _ := eventRate(*iters)
-	parNsPerOp, parEvents, parWindows, parStalls := parallelRate(*iters, 4)
 	campRuns, campWorkers, campSeconds := campaignRate(*iters)
 
 	rep := report{
@@ -185,11 +148,6 @@ func main() {
 		CampaignWorkers:    campWorkers,
 		CampaignSeconds:    campSeconds,
 		CampaignRunsPerSec: float64(campRuns) / campSeconds,
-
-		ParallelShards:         4,
-		ParallelEventsPerSec:   float64(parEvents) / (parNsPerOp / 1e9),
-		ParallelWindows:        parWindows,
-		BarrierStallsPerWindow: float64(parStalls) / float64(parWindows),
 
 		GeneratedUnix: time.Now().Unix(),
 	}
@@ -218,7 +176,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s: %.1fM events/s serial, %.1fM events/s at %d shards (%.3f stalls/window), %.4f allocs/event, %.0f campaign runs/s (%d workers), %d iterations\n",
-		*out, rep.EventsPerSec/1e6, rep.ParallelEventsPerSec/1e6, rep.ParallelShards,
-		rep.BarrierStallsPerWindow, rep.AllocsPerEvent, rep.CampaignRunsPerSec, rep.CampaignWorkers, rep.Iterations)
+	fmt.Printf("wrote %s: %.1fM events/s, %.4f allocs/event, %.0f campaign runs/s (%d workers), %d iterations\n",
+		*out, rep.EventsPerSec/1e6, rep.AllocsPerEvent, rep.CampaignRunsPerSec, rep.CampaignWorkers, rep.Iterations)
 }

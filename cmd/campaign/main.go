@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	campaign -spec sweep.json [-workers N] [-shards K] [-out runs.jsonl] [-filter expr]
+//	campaign -spec sweep.json [-workers N] [-out runs.jsonl] [-filter expr]
 //	campaign -builtin example            # small built-in demonstration sweep
 //	campaign -builtin flagship           # the 240-run design-space sweep
 //	campaign -spec sweep.json -list      # show the expanded runs, don't execute
@@ -32,7 +32,7 @@
 // "hists" field per JSONL row), while -chrome-trace and -sample-every
 // flight-record the first filtered run into a Chrome trace-event timeline
 // and a time-series CSV. All three outputs are byte-identical for any
-// -workers or -shards value. When a -range excludes the flight-recorded
+// -workers value. When a -range excludes the flight-recorded
 // run, no trace artifacts are written; recorded artifacts from ranged runs
 // get a ".lo-hi" path suffix so ranges never clobber each other.
 package main
@@ -60,7 +60,6 @@ func main() {
 	list := flag.Bool("list", false, "list the expanded runs without executing")
 	filter := flag.String("filter", "", "restrict runs, e.g. \"app=LU,p=64|256,override=baseline\"")
 	workers := cliflags.RegisterWorkers(flag.CommandLine)
-	shards := cliflags.RegisterShards(flag.CommandLine, 0)
 	out := flag.String("out", "", "write per-run results as JSONL to this file")
 	rangeSpec := flag.String("range", "", "execute slice I of N of the run list, e.g. 0/4")
 	ckptDir := flag.String("checkpoint", "", "checkpoint finished rows into this directory and resume from it")
@@ -167,7 +166,6 @@ func main() {
 
 	cfg := campaign.Config{
 		Workers:       *workers,
-		Shards:        *shards,
 		Hist:          obsFlags.Hist,
 		Filter:        *filter,
 		Output:        *out,

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	campaignd [-addr :8080] [-workers N] [-shards K] [-cache-size N] [-cache-dir DIR]
+//	campaignd [-addr :8080] [-workers N] [-cache-size N] [-cache-dir DIR]
 //
 // Endpoints:
 //
@@ -54,7 +54,6 @@ import (
 type daemonFlags struct {
 	addr      *string
 	workers   *int
-	shards    *int
 	hist      *bool
 	cacheSize *int
 	cacheDir  *string
@@ -65,7 +64,6 @@ func registerFlags(fs *flag.FlagSet) daemonFlags {
 	return daemonFlags{
 		addr:      fs.String("addr", ":8080", "listen address"),
 		workers:   cliflags.RegisterWorkers(fs),
-		shards:    cliflags.RegisterShards(fs, 0),
 		hist:      cliflags.RegisterHist(fs),
 		cacheSize: fs.Int("cache-size", 0, "in-memory cache capacity in results (default 65536)"),
 		cacheDir:  fs.String("cache-dir", "", "persist the cache to cache.jsonl in this directory (tiered under the in-memory LRU)"),
@@ -111,7 +109,6 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) (err error) {
 
 	srv, err := campaign.NewServer(campaign.Config{
 		Workers: *f.workers,
-		Shards:  *f.shards,
 		Hist:    *f.hist,
 		Store:   store,
 	})

@@ -102,7 +102,7 @@ func TestFlagInventory(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	sort.Strings(got)
 	want := []string{"addr", "cache-dir", "cache-size", "cpuprofile", "exectrace",
-		"hist", "memprofile", "shards", "workers"}
+		"hist", "memprofile", "workers"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("flag inventory drifted:\n got %v\nwant %v", got, want)
 	}
@@ -110,10 +110,9 @@ func TestFlagInventory(t *testing.T) {
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	cliflags.RegisterHist(shared)
 	cliflags.RegisterWorkers(shared)
-	cliflags.RegisterShards(shared, 0)
 	obsFS := flag.NewFlagSet("obs", flag.ContinueOnError)
 	cliflags.RegisterObs(obsFS)
-	for _, name := range []string{"hist", "workers", "shards"} {
+	for _, name := range []string{"hist", "workers"} {
 		if fs.Lookup(name).Usage != shared.Lookup(name).Usage {
 			t.Errorf("-%s help text differs from the cliflags registry", name)
 		}

@@ -6,13 +6,12 @@
 // Usage:
 //
 //	hypoth -list
-//	hypoth -run <id> [-out DIR] [-workers N] [-shards K]
-//	hypoth -all [-out DIR] [-workers N] [-shards K]
+//	hypoth -run <id> [-out DIR] [-workers N]
+//	hypoth -all [-out DIR] [-workers N]
 //
 // Each experiment writes <out>/<id>.json and <out>/<id>.md; -all also
 // writes the <out>/README.md index. Reports contain only deterministic
-// content, and shard counts are clamped into the canonical (≥ 2) family,
-// so the files are byte-identical for every -workers/-shards setting —
+// content, so the files are byte-identical for every -workers setting —
 // CI regenerates the committed hypotheses/ directory and diffs it.
 package main
 
@@ -36,7 +35,6 @@ type hypothFlags struct {
 	all     *bool
 	out     *string
 	workers *int
-	shards  *int
 }
 
 func registerFlags(fs *flag.FlagSet) hypothFlags {
@@ -46,7 +44,6 @@ func registerFlags(fs *flag.FlagSet) hypothFlags {
 		all:     fs.Bool("all", false, "run the whole builtin suite and write the index"),
 		out:     fs.String("out", "hypotheses", "directory the reports are written to"),
 		workers: cliflags.RegisterWorkers(fs),
-		shards:  cliflags.RegisterShards(fs, 2),
 	}
 }
 
@@ -72,10 +69,10 @@ func run(args []string, out io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try -list)", *f.runID)
 		}
-		_, err := execute(out, *f.out, hypothesis.Config{Workers: *f.workers, Shards: *f.shards}, e)
+		_, err := execute(out, *f.out, hypothesis.Config{Workers: *f.workers}, e)
 		return err
 	case *f.all:
-		cfg := hypothesis.Config{Workers: *f.workers, Shards: *f.shards}
+		cfg := hypothesis.Config{Workers: *f.workers}
 		var reports []*hypothesis.Report
 		for _, e := range hypothesis.Builtin() {
 			rep, err := execute(out, *f.out, cfg, e)

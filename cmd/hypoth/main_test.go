@@ -22,21 +22,15 @@ func TestFlagInventory(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	sort.Strings(got)
-	want := []string{"all", "list", "out", "run", "shards", "workers"}
+	want := []string{"all", "list", "out", "run", "workers"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("flag inventory drifted:\n got %v\nwant %v", got, want)
 	}
 
 	shared := flag.NewFlagSet("shared", flag.ContinueOnError)
 	cliflags.RegisterWorkers(shared)
-	cliflags.RegisterShards(shared, 2)
-	for _, name := range []string{"workers", "shards"} {
-		if fs.Lookup(name).Usage != shared.Lookup(name).Usage {
-			t.Errorf("-%s help text differs from the cliflags registry", name)
-		}
-	}
-	if fs.Lookup("shards").DefValue != "2" {
-		t.Errorf("-shards default = %s, want 2 (the canonical event-order family)", fs.Lookup("shards").DefValue)
+	if fs.Lookup("workers").Usage != shared.Lookup("workers").Usage {
+		t.Error("-workers help text differs from the cliflags registry")
 	}
 }
 

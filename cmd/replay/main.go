@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	replay -in trace.jsonl [-out replayed.jsonl] [-shards K] [-quiet]
+//	replay -in trace.jsonl [-out replayed.jsonl] [-quiet]
 //
 // With -out the replay re-records itself to a new trace file; when the
 // replay matches the recording, the two files are byte-identical (the
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cliflags"
 	"repro/internal/obs"
 	"repro/internal/replay"
 )
@@ -29,7 +28,6 @@ import (
 func main() {
 	in := flag.String("in", "", "trace file to replay (required)")
 	out := flag.String("out", "", "re-record the replay to this trace file")
-	shards := cliflags.RegisterShards(flag.CommandLine, 1)
 	quiet := flag.Bool("quiet", false, "suppress per-run output")
 	flag.Parse()
 
@@ -49,7 +47,7 @@ func main() {
 	if *out != "" {
 		rec = &obs.Recorder{Ops: true}
 	}
-	res, err := replay.Replay(hdr, ops, replay.Options{Shards: *shards, Rec: rec})
+	res, err := replay.Replay(hdr, ops, replay.Options{Rec: rec})
 	check(err)
 
 	if !*quiet {

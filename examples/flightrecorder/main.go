@@ -4,7 +4,7 @@
 // timeline for ui.perfetto.dev, a sampled CSV time series, and duration
 // histograms whose percentiles expose the tail contention that mean wait
 // columns hide. Everything printed and written here is deterministic: the
-// same bytes for any shard count (window tracks aside) on every machine.
+// same bytes on every machine.
 package main
 
 import (
@@ -29,23 +29,18 @@ func main() {
 
 	// The recorder's feature flags choose what is collected; all of them
 	// off (the default) collects nothing, and a nil recorder costs the
-	// simulation nothing at all. A recorder does not force the simulation
-	// serial — a sharded run records the same bytes, so Shards and Obs
-	// compose freely in one Options value.
-	rec := &obs.Recorder{Spans: true, Messages: true, Links: true, Windows: true, Hist: true}
+	// simulation nothing at all.
+	rec := &obs.Recorder{Spans: true, Messages: true, Links: true, Hist: true}
 	sim := new(simmpi.Sim)
-	res, err := bm.Simulate(sim, mach, dec, simmpi.Options{
-		Shards: 4, // conservative-parallel, bit-identical to serial
-		Obs:    rec,
-	})
+	res, err := bm.Simulate(sim, mach, dec, simmpi.Options{Obs: rec})
 	check(err)
 	fmt.Printf("simulated %d ranks: %.1fµs makespan, %d events, %d messages\n\n",
 		dec.P(), res.Time, res.Events, res.Sends)
 
-	// 1. Timeline: one track per rank, per active link and per shard.
-	//    Load the file in https://ui.perfetto.dev (or chrome://tracing);
-	//    clicking a send span shows its peer and byte count, a link span
-	//    its queueing delay, a shard window its event count and heap depth.
+	// 1. Timeline: one track per rank and per active link. Load the file
+	//    in https://ui.perfetto.dev (or chrome://tracing); clicking a send
+	//    span shows its peer and byte count, a link span its queueing
+	//    delay.
 	ic := sim.Topology().Interconnect()
 	f, err := os.Create("flight_trace.json")
 	check(err)

@@ -4,7 +4,7 @@
 // a predicted direction and a minimum effect — then executed across three
 // workload seeds. The harness machine-checks the single-delta property by
 // diffing the arms' content-key components, runs every arm twice (at
-// different worker and shard counts) to re-verify determinism, evaluates
+// different worker counts) to re-verify determinism, evaluates
 // the standing invariants, and renders a confirm/refute verdict. The same
 // machinery powers `cmd/hypoth` and the committed reports under
 // hypotheses/.
@@ -54,7 +54,7 @@ func main() {
 	// The single-delta check also runs inside Run; calling it directly
 	// shows what the machine verifies: exactly one content-key component
 	// differs between the paired runs of the two arms.
-	delta, err := exp.CheckDelta(exp.Seeds[0], campaign.KeyMode{Canon: true})
+	delta, err := exp.CheckDelta(exp.Seeds[0], campaign.KeyMode{})
 	if err != nil {
 		panic(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 		fmt.Printf("  seed %3d: %8.1f µs → %8.1f µs  (%+.1f%%)\n",
 			s.Seed, s.BaselineMean, s.TreatmentMean, s.Effect*100)
 	}
-	fmt.Println("\ninvariants (each arm executed twice, at different worker AND shard counts):")
+	fmt.Println("\ninvariants (each arm executed twice, at different worker counts):")
 	for _, inv := range rep.Invariants {
 		fmt.Printf("  %-28s %s\n", inv.Name, inv.Status)
 	}

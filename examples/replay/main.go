@@ -31,7 +31,7 @@ func main() {
 	//    unchanged in expectation), plus an average of one 25µs OS-noise
 	//    event every two tiles. Every sample is a pure hash of
 	//    (seed, rank, sweep, tile) — no RNG stream, so the workload is
-	//    bit-identical for any worker or shard count.
+	//    bit-identical for any worker count.
 	wl := workload.Spec{
 		Dist: workload.DistLognormal, Sigma: 0.4, Seed: 7,
 		Noise: &workload.NoiseSpec{Rate: 0.5, AmpUS: 25},

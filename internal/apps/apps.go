@@ -312,8 +312,7 @@ func (b Benchmark) Schedule(dec grid.Decomposition, iterations int) (*wavefront.
 // Simulate executes the benchmark's schedule — b.App.Iterations iterations
 // on dec — on sim over mach's full hardware substrate
 // (simnet.NewMachineTopology, so the machine's interconnect is honoured).
-// Interconnect and shard statistics are read from sim afterwards
-// (Sim.Topology, Sim.ParallelStats).
+// Interconnect statistics are read from sim afterwards (Sim.Topology).
 func (b Benchmark) Simulate(sim *simmpi.Sim, mach machine.Machine, dec grid.Decomposition, o simmpi.Options) (simmpi.Result, error) {
 	sched, err := b.Schedule(dec, b.App.Iterations)
 	if err != nil {

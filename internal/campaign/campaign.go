@@ -42,13 +42,12 @@ type Spec struct {
 	Name string `json:"name"`
 	// Iterations is the wavefront iteration count of every run (default 1).
 	Iterations int `json:"iterations,omitempty"`
-	// Shards is the conservative-parallel shard count each simulator uses
-	// (simmpi.Options.Shards). Results are bit-identical for every sharded
-	// count (k ≥ 2), making this a pure throughput knob for huge-rank
-	// campaigns; 0 or 1 keeps the serial engine, whose legacy same-time
-	// tie order can differ microscopically in bus-contention statistics
-	// from the canonical sharded order on tie-heavy configurations (see
-	// internal/simmpi/parallel.go).
+	// Shards is accepted and ignored, so specs written for the retired
+	// sharded scheduler still parse; it is not part of any RunKey. A
+	// negative value is still rejected.
+	//
+	// Deprecated: every run executes on one engine; the 2-shard phase of
+	// the frozen perfbench module is its last caller.
 	Shards int `json:"shards,omitempty"`
 
 	Apps     []AppDim        `json:"apps"`
@@ -429,11 +428,6 @@ type Run struct {
 	// the preset name, or the canonical JSON of a custom spec — the part
 	// of the app's behavior a hash of numeric fields cannot see.
 	appSrc string
-	// shards is the simulator's conservative-parallel shard count. It is
-	// a throughput knob, not part of the run's identity — every sharded
-	// count produces bit-identical results — so it never appears in keys
-	// or JSONL rows.
-	shards int
 }
 
 // Key renders the run's coordinates for listings and error messages.
@@ -495,7 +489,6 @@ func (s Spec) Expand() ([]Run, error) {
 						bm:         bm,
 						mach:       mach,
 						appSrc:     appSrc,
-						shards:     s.Shards,
 					}
 					dec, err := grid.SquareDecomposition(bm.App.Grid, p)
 					if err != nil {

@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/logp"
+	"repro/internal/simmpi"
 )
 
 // specJSON is a small, fully explicit spec exercising every dimension.
@@ -246,27 +249,24 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossShardCounts extends the determinism contract to
-// the simulator's conservative-parallel mode: a sharded campaign emits
-// byte-identical JSONL for every shard count, whether sharded by the spec
-// or by the engine override. The default serial engine is deliberately not
-// the reference here: it keeps the legacy scheduling-order tiebreak, whose
-// bus-contention statistics can differ microscopically from the canonical
-// shard-count-independent order on tie-heavy configurations (this spec's
-// single-core LU runs are one; see internal/simmpi/parallel.go). Serial
-// equivalence on the paper's benchmark configurations is asserted in
-// internal/simmpi/parallel_test.go.
+// TestDeterministicAcrossShardCounts pins the deprecated shard knobs the
+// frozen perfbench module still compiles against. Every run executes on
+// one engine, so for any non-negative shard count simmpi.Options.Shards
+// yields the unsharded Result and ParallelStats reports (1, 0, 0), and a
+// spec's "shards" field leaves the JSONL bytes and every RunKey unchanged.
+// A negative count is still rejected at both layers.
 func TestDeterministicAcrossShardCounts(t *testing.T) {
-	s, err := ParseSpec([]byte(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	encode := func(s Spec, engineShards int) []byte {
+	encode := func(spec string) ([]byte, []Run) {
+		t.Helper()
+		s, err := ParseSpec([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
 		runs, err := s.Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := newEngine(t, Config{Workers: 2, Shards: engineShards}).Execute(runs)
+		res, err := newEngine(t, Config{Workers: 2}).Execute(runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,24 +274,65 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 		if err := WriteJSONL(&buf, res); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), runs
 	}
-	withShards := func(k int) Spec {
-		sh := s
-		sh.Shards = k
-		return sh
+	withShards := func(k int) string {
+		return strings.Replace(specJSON, "{", fmt.Sprintf(`{"shards": %d,`, k), 1)
 	}
-	base := encode(withShards(2), 0)
-	if n := bytes.Count(base, []byte("\n")); n != 16 {
+	baseRows, baseRuns := encode(specJSON)
+	if n := bytes.Count(baseRows, []byte("\n")); n != 16 {
 		t.Fatalf("JSONL has %d rows, want 16", n)
 	}
-	for _, k := range []int{4, 8} {
-		if got := encode(withShards(k), 0); !bytes.Equal(base, got) {
-			t.Errorf("spec shards=%d produced different JSONL bytes than shards=2", k)
-		}
+	// The largest run of the sweep: single-core LU at P = 9, whose
+	// same-time ties once separated the sharded event order from the
+	// serial one.
+	r := baseRuns[len(baseRuns)-1]
+	simulate := func(k int) (simmpi.Result, *simmpi.Sim, error) {
+		sim := new(simmpi.Sim)
+		res, err := r.bm.Simulate(sim, r.mach, r.dec, simmpi.Options{Shards: k})
+		return res, sim, err
 	}
-	if got := encode(s, 2); !bytes.Equal(base, got) {
-		t.Error("engine shards=2 produced different JSONL bytes than spec shards=2")
+	baseRes, _, err := simulate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		shards  int
+		wantErr bool
+	}{{0, false}, {1, false}, {2, false}, {4, false}, {5, false}, {-1, true}} {
+		res, sim, err := simulate(tc.shards)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("Options{Shards: %d} accepted", tc.shards)
+			}
+			if _, err := ParseSpec([]byte(withShards(tc.shards))); err == nil {
+				t.Errorf("spec with shards %d accepted", tc.shards)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Options{Shards: %d}: %v", tc.shards, err)
+		}
+		if !reflect.DeepEqual(res, baseRes) {
+			t.Errorf("Options{Shards: %d} changed the Result", tc.shards)
+		}
+		if k, w, st := sim.ParallelStats(); k != 1 || w != 0 || st != 0 {
+			t.Errorf("Options{Shards: %d}: ParallelStats = %d, %d, %d, want 1, 0, 0", tc.shards, k, w, st)
+		}
+		rows, runs := encode(withShards(tc.shards))
+		if !bytes.Equal(rows, baseRows) {
+			t.Errorf("spec shards %d produced different JSONL bytes", tc.shards)
+		}
+		for i := range runs {
+			for _, mode := range []KeyMode{{}, {Hist: true}} {
+				got, _ := runs[i].ContentKey(mode, nil)
+				want, _ := baseRuns[i].ContentKey(mode, nil)
+				if got != want {
+					t.Errorf("spec shards %d changed the RunKey of %s", tc.shards, runs[i].Key())
+				}
+			}
+		}
 	}
 }
 

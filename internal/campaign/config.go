@@ -19,7 +19,7 @@ const SchemaVersion = 1
 
 // Config is the complete, versioned configuration of a campaign Engine.
 // It consolidates the knobs the engine accreted over time (worker pool,
-// shard override, histograms, flight recorder, progress hook) with the
+// histograms, flight recorder, progress hook) with the
 // serving-layer features (result cache, run-range partitioning,
 // checkpointing, output path), so the CLI and the campaignd server are
 // thin frontends over one validated struct. Build one with NewConfig and
@@ -31,9 +31,6 @@ type Config struct {
 
 	// Workers is the worker-pool size; non-positive means GOMAXPROCS.
 	Workers int
-	// Shards, if positive, overrides the spec's simulator shard count for
-	// every run. Every sharded count (≥ 2) yields bit-identical results.
-	Shards int
 	// Hist collects per-run duration histograms into RunResult.Hists.
 	Hist bool
 
@@ -85,11 +82,6 @@ type Option func(*Config) error
 // WithWorkers sets the worker-pool size (non-positive means GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(c *Config) error { c.Workers = n; return nil }
-}
-
-// WithShards sets the per-run simulator shard override.
-func WithShards(k int) Option {
-	return func(c *Config) error { c.Shards = k; return nil }
 }
 
 // WithHist enables per-run duration histograms.
@@ -153,13 +145,10 @@ func NewConfig(opts ...Option) (Config, error) {
 }
 
 // Validate checks the config's invariants: a known version, a parseable
-// filter, a coherent range selection and a non-negative shard override.
+// filter and a coherent range selection.
 func (c Config) Validate() error {
 	if c.Version != 0 && c.Version != SchemaVersion {
 		return fmt.Errorf("campaign: config version %d not supported (want %d)", c.Version, SchemaVersion)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("campaign: negative shard override %d", c.Shards)
 	}
 	if c.RangeParts < 0 {
 		return fmt.Errorf("campaign: negative range parts %d", c.RangeParts)

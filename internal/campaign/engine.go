@@ -72,8 +72,6 @@ type RunResult struct {
 	// Hists carries the run's duration-histogram percentiles when the
 	// engine collects them (Config.Hist); omitted otherwise so rows of
 	// histogram-less campaigns stay byte-identical to earlier output.
-	// Only shard-invariant histograms appear here — the shard count is not
-	// part of a run's identity, so rows must not depend on it.
 	Hists *RunHists `json:"hists,omitempty"`
 
 	Error string `json:"error,omitempty"`
@@ -109,7 +107,7 @@ func (res *RunResult) rehydrate(r Run) {
 // HistSummary is the JSONL rendering of one duration histogram: the
 // observation count and the bucket-quantised percentiles in µs. All values
 // derive from integer bucket counts, so they are byte-identical for every
-// worker and shard count.
+// worker count.
 type HistSummary struct {
 	N   uint64  `json:"n"`
 	P50 float64 `json:"p50_us"`
@@ -240,11 +238,7 @@ func (e *Engine) executeAt(runs []Run, pos0 int) ([]RunResult, error) {
 				var key RunKey
 				needKey := ckpt != nil || (cfg.Store != nil && !bypass)
 				if needKey {
-					shards := cfg.Shards
-					if shards <= 0 {
-						shards = r.shards
-					}
-					key, scratch = r.ContentKey(KeyMode{Hist: cfg.Hist, Canon: shards > 1}, scratch)
+					key, scratch = r.ContentKey(KeyMode{Hist: cfg.Hist}, scratch)
 				}
 
 				if !bypass {
@@ -380,7 +374,7 @@ func (e *Engine) ExecuteSpec(s Spec) ([]RunResult, error) {
 }
 
 // executeRun evaluates the analytic model and the simulator for one run.
-// cfg supplies the shard override and observability options; sim is the
+// cfg supplies the observability options; sim is the
 // worker's simulator, reused across its runs.
 func executeRun(r Run, cfg Config, sim *simmpi.Sim) RunResult {
 	start := time.Now()
@@ -409,11 +403,7 @@ func executeRun(r Run, cfg Config, sim *simmpi.Sim) RunResult {
 	if err != nil {
 		return fail(err)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = r.shards
-	}
-	res, err := bm.Simulate(sim, r.mach, r.dec, simmpi.Options{Shards: shards, Obs: cfg.recorderFor(r.Index)})
+	res, err := bm.Simulate(sim, r.mach, r.dec, simmpi.Options{Obs: cfg.recorderFor(r.Index)})
 	if err != nil {
 		return fail(err)
 	}

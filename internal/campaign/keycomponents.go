@@ -195,12 +195,6 @@ func (r Run) KeyComponents(mode KeyMode) []KeyComponent {
 	} else {
 		i(0)
 	}
-	field("canon")
-	if mode.Canon {
-		i(1)
-	} else {
-		i(0)
-	}
 	out = append(out, component("mode"))
 
 	return out

@@ -13,9 +13,8 @@ import (
 // height, per-run boundary message sizes, convergence collective, iteration
 // count, the attached workload spec (every distribution, noise and block
 // knob), the machine's LogGP parameters after overrides, node shape and
-// interconnect, the rank count and decomposition, and the two execution-
-// mode bits that change output bytes (histogram collection and the
-// canonical-vs-legacy event order).
+// interconnect, the rank count and decomposition, and the one execution-
+// mode bit that changes output bytes (histogram collection).
 //
 // Two runs with the same RunKey produce byte-identical JSONL payloads, so
 // a ResultStore can serve one's cached result for the other. Display-only
@@ -41,14 +40,10 @@ func ParseRunKey(s string) (RunKey, error) {
 
 // KeyMode carries the execution-mode bits that are part of a run's content
 // identity because they change the emitted bytes: whether duration
-// histograms are collected into the row, and whether the simulator uses
-// the canonical sharded event order (any Shards ≥ 2 — all bit-identical to
-// each other) or the legacy serial order (which may differ microscopically
-// on tie-heavy configurations; see internal/simmpi/parallel.go). The shard
-// count itself is a pure throughput knob and is deliberately excluded.
+// histograms are collected into the row. The worker count is a pure
+// throughput knob and is deliberately excluded.
 type KeyMode struct {
-	Hist  bool
-	Canon bool
+	Hist bool
 }
 
 // ContentKey computes the run's content address. The scratch buffer is
@@ -169,9 +164,6 @@ func (r Run) ContentKey(mode KeyMode, scratch []byte) (RunKey, []byte) {
 	// Execution-mode bits that change output bytes.
 	if mode.Hist {
 		b = append(b, "hist|"...)
-	}
-	if mode.Canon {
-		b = append(b, "canon|"...)
 	}
 	return sha256.Sum256(b), b
 }

@@ -46,7 +46,7 @@ type servedCampaign struct {
 }
 
 // NewServer validates the base configuration and returns a server.
-// cfg supplies the per-campaign execution knobs (Workers, Shards, Hist)
+// cfg supplies the per-campaign execution knobs (Workers, Hist)
 // and the shared Store (an in-memory LRU is installed when nil). The
 // per-process knobs that don't survive multiplexing — Output, Obs,
 // Progress, OnResult, Filter, ranges, checkpoints — must be unset: each

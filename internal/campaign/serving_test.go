@@ -140,9 +140,6 @@ func TestContentKeyProperties(t *testing.T) {
 	if kh, _ := r.ContentKey(KeyMode{Hist: true}, scratch); kh == k1 {
 		t.Error("Hist mode must change the key (histograms change row bytes)")
 	}
-	if kc, _ := r.ContentKey(KeyMode{Canon: true}, scratch); kc == k1 {
-		t.Error("canonical event order must change the key")
-	}
 	// A different run from the same sweep must not collide.
 	if ko, _ := runs[1].ContentKey(KeyMode{}, nil); ko == k1 {
 		t.Errorf("runs %s and %s share a content key", r.Key(), runs[1].Key())

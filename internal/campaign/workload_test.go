@@ -98,9 +98,9 @@ func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkloadDeterministicAcrossShards: a workload-perturbed campaign
-// emits byte-identical JSONL for every sharded simulator count (the same
-// contract TestDeterministicAcrossShardCounts pins for unperturbed runs).
+// TestWorkloadDeterministicAcrossShards: a workload-perturbed spec emits
+// the same JSONL bytes whatever its deprecated shard count (the contract
+// TestDeterministicAcrossShardCounts pins for unperturbed runs).
 func TestWorkloadDeterministicAcrossShards(t *testing.T) {
 	s, err := ParseSpec([]byte(workloadSpecJSON))
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package cliflags is the shared flag surface of the simulator commands.
 // The observability knobs (-hist, -chrome-trace, -sample-every,
-// -sample-out, -trace-windows), the execution knobs (-workers, -shards)
-// and the artifact writer used to emit trace and sample files had grown
+// -sample-out), the worker-pool knob (-workers) and the artifact writer used to emit trace and sample files had grown
 // near-identical copies in cmd/campaign, cmd/sweepsim and cmd/campaignd;
 // this package keeps one definition of each so every command spells the
 // same flag the same way with the same help text. The profiling flags
@@ -26,9 +25,6 @@ type ObsFlags struct {
 	SampleEvery float64
 	// SampleOut is the CSV path -sample-every writes to.
 	SampleOut string
-	// TraceWindows includes per-shard lookahead-window tracks in the
-	// timeline (these depend on the shard count).
-	TraceWindows bool
 }
 
 // histUsage is the one help text of -hist, shared by RegisterObs and
@@ -49,7 +45,6 @@ func RegisterObs(fs *flag.FlagSet) *ObsFlags {
 	fs.StringVar(&o.ChromeTrace, "chrome-trace", "", "write a Chrome trace-event timeline (load in Perfetto) to this file")
 	fs.Float64Var(&o.SampleEvery, "sample-every", 0, "sample time-series metrics every Δt µs into -sample-out")
 	fs.StringVar(&o.SampleOut, "sample-out", "samples.csv", "time-series CSV path for -sample-every")
-	fs.BoolVar(&o.TraceWindows, "trace-windows", false, "include per-shard lookahead-window tracks in -chrome-trace (these depend on -shards)")
 	return &o
 }
 
@@ -66,7 +61,7 @@ func (o *ObsFlags) Recorder() *obs.Recorder {
 	if !o.Recording() {
 		return nil
 	}
-	return &obs.Recorder{Spans: true, Messages: true, Links: true, Windows: o.TraceWindows}
+	return &obs.Recorder{Spans: true, Messages: true, Links: true}
 }
 
 // WriteArtifacts writes the timeline and sample artifacts the flags
@@ -99,13 +94,6 @@ func (o *ObsFlags) WriteArtifacts(rec *obs.Recorder, topt obs.TimelineOptions, p
 // RegisterWorkers declares the shared -workers flag on fs.
 func RegisterWorkers(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "worker pool size (default: GOMAXPROCS)")
-}
-
-// RegisterShards declares the shared -shards flag on fs. def is the
-// default shard count: campaign-style commands use 0 ("inherit from the
-// spec"), single-run commands use 1 (serial).
-func RegisterShards(fs *flag.FlagSet, def int) *int {
-	return fs.Int("shards", def, "conservative-parallel shard count (results are bit-identical for every sharded count)")
 }
 
 // WriteArtifact creates path (parents included) and streams one artifact

@@ -17,31 +17,30 @@ func TestSharedFlagSurface(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	o := RegisterObs(fs)
 	workers := RegisterWorkers(fs)
-	shards := RegisterShards(fs, 1)
 
-	for _, name := range []string{"hist", "chrome-trace", "sample-every", "sample-out", "trace-windows", "workers", "shards"} {
+	for _, name := range []string{"hist", "chrome-trace", "sample-every", "sample-out", "workers"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
 	err := fs.Parse([]string{
 		"-hist", "-chrome-trace=tl.json", "-sample-every=5", "-sample-out=s.csv",
-		"-trace-windows", "-workers=6", "-shards=4",
+		"-workers=6",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.Hist || o.ChromeTrace != "tl.json" || o.SampleEvery != 5 || o.SampleOut != "s.csv" || !o.TraceWindows {
+	if !o.Hist || o.ChromeTrace != "tl.json" || o.SampleEvery != 5 || o.SampleOut != "s.csv" {
 		t.Errorf("obs flags parsed as %+v", *o)
 	}
-	if *workers != 6 || *shards != 4 {
-		t.Errorf("workers=%d shards=%d", *workers, *shards)
+	if *workers != 6 {
+		t.Errorf("workers=%d", *workers)
 	}
 	if !o.Recording() {
 		t.Error("Recording() false with -chrome-trace set")
 	}
 	rec := o.Recorder()
-	if rec == nil || !rec.Spans || !rec.Messages || !rec.Links || !rec.Windows {
+	if rec == nil || !rec.Spans || !rec.Messages || !rec.Links {
 		t.Errorf("Recorder() = %+v", rec)
 	}
 }

@@ -307,7 +307,7 @@ func TestEngineResetDropsAbandonedEvents(t *testing.T) {
 	})
 	e.AtKind(1, 1, 0, 0)
 	e.AtKind(5, 2, 0, 0)
-	e.RunBefore(2) // leaves the kind-2 event pending
+	e.Step() // leaves the kind-2 event pending
 	e.Reset()
 	if e.Run() != 0 {
 		t.Error("reset engine ran abandoned events")

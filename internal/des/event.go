@@ -64,32 +64,3 @@ type payload struct {
 	kind       Kind
 	arg0, arg1 int32
 }
-
-// heapEvent3 is the queued record of a canonically ordered event
-// (Engine.AtPriCtx): a 24-byte key triple ordered lexicographically by
-// (tbits, ctx, order). tbits and order are as in heapEvent, except that the
-// high bits of order hold the caller's content-derived priority instead of
-// a sequence number. ctx is the bit pattern of the scheduling context's
-// virtual time — the timestamp of the event whose handler scheduled this
-// one. Sequence numbers refine context-time order (an engine executes
-// events in time order, so a scheduling call from an earlier context always
-// draws the smaller sequence number); making the context time an explicit
-// key therefore never changes a serial run's order, but unlike a sequence
-// number it is a value a barrier coordinator can carry across shards.
-type heapEvent3 struct {
-	tbits uint64
-	ctx   uint64
-	order uint64
-}
-
-func (ev heapEvent3) time() float64 { return math.Float64frombits(ev.tbits) }
-
-func ev3Less(a, b heapEvent3) bool {
-	if a.tbits != b.tbits {
-		return a.tbits < b.tbits
-	}
-	if a.ctx != b.ctx {
-		return a.ctx < b.ctx
-	}
-	return a.order < b.order
-}

@@ -33,21 +33,12 @@ func (h *radixHarness) push(tm float64) {
 	h.pushKey(mkEvent(tm, h.seq))
 }
 
-func (h *radixHarness) top() heapEvent {
+func (h *radixHarness) pop() {
 	h.t.Helper()
 	if h.q.len() != len(h.ref) {
 		h.t.Fatalf("len %d, reference has %d", h.q.len(), len(h.ref))
 	}
 	want := h.ref[0]
-	if got := h.q.top(); got != want {
-		h.t.Fatalf("top = (%v,%#x), want (%v,%#x)", got.time(), got.order, want.time(), want.order)
-	}
-	return want
-}
-
-func (h *radixHarness) pop() {
-	h.t.Helper()
-	want := h.top()
 	if got := h.q.pop(); got != want {
 		h.t.Fatalf("pop = (%v,%#x), want (%v,%#x)", got.time(), got.order, want.time(), want.order)
 	}
@@ -86,10 +77,9 @@ func (h *radixHarness) step(op int, u float64) {
 		h.push(tm)
 	case 4: // zero delay
 		h.push(h.now)
-	case 5: // peek, then schedule below the peeked event
+	case 5: // schedule between the last popped and the minimum pending event
 		if len(h.ref) > 0 {
-			top := h.top().time()
-			h.push(h.now + u*(top-h.now))
+			h.push(h.now + u*(h.ref[0].time()-h.now))
 		}
 	case 6: // an exact copy of the minimum key
 		if len(h.ref) > 0 {
@@ -139,6 +129,28 @@ func TestQueueHoldModel(t *testing.T) {
 	h.drain()
 }
 
+// TestRadixQueueSameTimeBurst: one wavefront step puts thousands of events
+// on one timestamp; they must come out in scheduling order, around later
+// events and zero-delay events pushed while the burst drains.
+func TestRadixQueueSameTimeBurst(t *testing.T) {
+	h := &radixHarness{t: t}
+	h.push(1)
+	h.pop()
+	for i := 0; i < 8192; i++ {
+		h.push(3)
+		if i%64 == 0 {
+			h.push(3 + float64(i%3))
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		h.pop()
+		if i%97 == 0 {
+			h.push(h.now) // zero delay from the burst's own time
+		}
+	}
+	h.drain()
+}
+
 func TestRadixQueuePanicsBelowLastPopped(t *testing.T) {
 	for _, below := range []heapEvent{
 		mkEvent(1, 5),                          // earlier time
@@ -162,7 +174,7 @@ func TestRadixQueuePanicsBelowLastPopped(t *testing.T) {
 
 // FuzzRadixOrder reads each input byte as one queue operation (low bits)
 // and its parameter (high bits), then drains the queue, checking every
-// top and pop against the sorted-slice reference.
+// pop against the sorted-slice reference.
 func FuzzRadixOrder(f *testing.F) {
 	f.Add([]byte{0, 8, 16, 255, 7, 7, 7})
 	f.Add([]byte{2, 250, 5, 13, 3, 3, 8, 8, 4, 6, 14, 7, 15})

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The shard scheduler leans on bounded runs (RunBefore) with the engine
-// reused across simulations. This pins the contract that a Reset after a
-// *bounded* run — i.e. with events still pending and payload slots still
-// occupied — yields an engine whose next run is bit-identical to a fresh
+// A simulation that stops early (a deadlock, a panic recovered by the
+// caller) leaves its engine with events still pending and payload slots
+// still occupied. This pins the contract that a Reset after such a
+// partial run yields an engine whose next run is bit-identical to a fresh
 // engine's.
 
 // traceRun schedules a fixed workload (same-time ties, nested scheduling)
@@ -27,9 +27,9 @@ func traceRun(e *Engine, trace *[]Event) (end float64, ran uint64) {
 	return e.Run(), e.EventsRun()
 }
 
-// TestResetAfterRunBeforeIsBitIdentical: after a RunBefore that leaves
+// TestResetAfterPartialRunIsBitIdentical: after a partial run that leaves
 // events pending, Reset yields a run identical to a fresh engine's.
-func TestResetAfterRunBeforeIsBitIdentical(t *testing.T) {
+func TestResetAfterPartialRunIsBitIdentical(t *testing.T) {
 	var fresh Engine
 	var want []Event
 	wantEnd, wantRan := traceRun(&fresh, &want)
@@ -39,15 +39,17 @@ func TestResetAfterRunBeforeIsBitIdentical(t *testing.T) {
 	for i := int32(0); i < 8; i++ {
 		e.AtKind(float64(i), 2, i, 0)
 	}
-	e.RunBefore(4.5)
-	if e.EventsRun() != 5 {
-		t.Fatalf("RunBefore executed %d events, want 5", e.EventsRun())
+	for i := 0; i < 5; i++ {
+		e.Step()
+	}
+	if e.EventsRun() != 5 || e.Pending() != 3 {
+		t.Fatalf("partial run executed %d events with %d pending, want 5 and 3", e.EventsRun(), e.Pending())
 	}
 	e.Reset()
 
 	var got []Event
 	gotEnd, gotRan := traceRun(&e, &got)
 	if gotEnd != wantEnd || gotRan != wantRan || !reflect.DeepEqual(got, want) {
-		t.Fatalf("re-run after RunBefore+Reset diverged (end=%v ran=%d)", gotEnd, gotRan)
+		t.Fatalf("re-run after a partial run and Reset diverged (end=%v ran=%d)", gotEnd, gotRan)
 	}
 }

@@ -14,7 +14,7 @@
 //     pair by pair — a two-dimension experiment is rejected, because its
 //     effect could not be attributed.
 //  3. Run both arms across ≥ 3 workload seeds. Every arm executes twice,
-//     at different worker and shard counts, and the harness requires the
+//     at different worker counts, and the harness requires the
 //     JSONL bytes to match — every hypothesis run doubles as a determinism
 //     sweep.
 //  4. Compute per-seed paired effect sizes on a declared metric and render
@@ -28,7 +28,7 @@
 //     experiment is also a property sweep over the simulator.
 //
 // Reports (JSON + Markdown, schema-versioned) contain only deterministic
-// fields, so regenerating them with any worker or shard count reproduces
+// fields, so regenerating them with any worker count reproduces
 // the committed artifacts byte for byte.
 package hypothesis
 

@@ -86,7 +86,7 @@ func TestValidate(t *testing.T) {
 // TestCheckDeltaSingle: a valid experiment reports its one differing
 // component with both rendered values.
 func TestCheckDeltaSingle(t *testing.T) {
-	d, err := smallExperiment().CheckDelta(7, campaign.KeyMode{Canon: true})
+	d, err := smallExperiment().CheckDelta(7, campaign.KeyMode{})
 	if err != nil {
 		t.Fatalf("CheckDelta: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestCheckDeltaRejectsTwoDimensions(t *testing.T) {
 		s.Ranks = []int{9}
 		s.Machines[0].Interconnect = &topo.Spec{Kind: topo.Torus2D}
 	})
-	_, err := e.CheckDelta(7, campaign.KeyMode{Canon: true})
+	_, err := e.CheckDelta(7, campaign.KeyMode{})
 	if err == nil {
 		t.Fatal("two-dimension experiment passed the single-delta check")
 	}
@@ -124,7 +124,7 @@ func TestCheckDeltaRejectsTwoDimensions(t *testing.T) {
 func TestCheckDeltaRejectsIdenticalArms(t *testing.T) {
 	e := smallExperiment()
 	e.Treatment = smallArm(func(s *campaign.Spec) { s.Apps[0].Workload.Seed = 99 })
-	_, err := e.CheckDelta(7, campaign.KeyMode{Canon: true})
+	_, err := e.CheckDelta(7, campaign.KeyMode{})
 	if err == nil || !strings.Contains(err.Error(), "identical in both arms") {
 		t.Fatalf("identical arms not rejected: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestCheckDeltaRejectsIdenticalArms(t *testing.T) {
 func TestCheckDeltaRejectsMismatchedExpansion(t *testing.T) {
 	e := smallExperiment()
 	e.Treatment = smallArm(func(s *campaign.Spec) { s.Ranks = []int{9, 16} })
-	_, err := e.CheckDelta(7, campaign.KeyMode{Canon: true})
+	_, err := e.CheckDelta(7, campaign.KeyMode{})
 	if err == nil || !strings.Contains(err.Error(), "pair up") {
 		t.Fatalf("mismatched expansion not rejected: %v", err)
 	}

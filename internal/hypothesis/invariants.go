@@ -12,7 +12,7 @@ import (
 
 // Arm is one executed experiment arm at one seed, as handed to invariants:
 // the spec, the result rows, and the bytes of two independent executions
-// at different worker and shard counts. Invariants read it; they never
+// at different worker counts. Invariants read it; they never
 // re-execute anything.
 type Arm struct {
 	// Name is "baseline" or "treatment"; Seed is the workload seed.
@@ -24,8 +24,8 @@ type Arm struct {
 	Rows []campaign.RunResult
 	// JSONL is the primary execution's serialized output.
 	JSONL []byte
-	// AltRows and AltJSONL come from the re-execution at different worker
-	// and shard counts; byte-equality against JSONL is the determinism
+	// AltRows and AltJSONL come from the re-execution at a different
+	// worker count; byte-equality against JSONL is the determinism
 	// invariant.
 	AltRows  []campaign.RunResult
 	AltJSONL []byte
@@ -60,7 +60,7 @@ func DefaultInvariants() []Invariant {
 }
 
 // Determinism requires the two executions of an arm — run at different
-// worker and shard counts — to produce byte-identical JSONL. This is the
+// worker counts — to produce byte-identical JSONL. This is the
 // campaign layer's core guarantee, re-verified on every hypothesis run.
 type Determinism struct{}
 
@@ -79,7 +79,7 @@ func (Determinism) Check(arm Arm) []string {
 			break
 		}
 	}
-	return []string{fmt.Sprintf("%s: executions at different worker/shard counts diverge (first differing row index %d)",
+	return []string{fmt.Sprintf("%s: executions at different worker counts diverge (first differing row index %d)",
 		arm.label(), n)}
 }
 

@@ -19,7 +19,7 @@ const SchemaVersion = 1
 
 // Report is the complete record of one executed experiment. Every field
 // is deterministic — no wall-clock times, no host names — so regenerating
-// a report with any worker or shard count reproduces the committed file
+// a report with any worker count reproduces the committed file
 // byte for byte.
 type Report struct {
 	Schema     int    `json:"schema_version"`
@@ -169,10 +169,10 @@ func WriteIndex(w io.Writer, reports []*Report) error {
 	b.WriteString("Controlled experiments over the campaign engine: each report pairs a\n")
 	b.WriteString("baseline campaign with a treatment differing in exactly one\n")
 	b.WriteString("machine-checked dimension, runs both arms across multiple workload\n")
-	b.WriteString("seeds (twice each, at different worker and shard counts), checks the\n")
+	b.WriteString("seeds (twice each, at different worker counts), checks the\n")
 	b.WriteString("standing invariants, and renders a confirm/refute verdict.\n")
 	b.WriteString("Regenerate with `go run ./cmd/hypoth -all -out hypotheses` — the\n")
-	b.WriteString("files are byte-identical for any `-workers`/`-shards` setting.\n\n")
+	b.WriteString("files are byte-identical for any `-workers` setting.\n\n")
 	b.WriteString("| id | title | delta | metric | verdict | median effect | invariants |\n")
 	b.WriteString("|---|---|---|---|---|---:|---|\n")
 	for _, r := range reports {

@@ -9,41 +9,29 @@ import (
 )
 
 // Config holds the execution knobs of a hypothesis run. Reports are
-// byte-identical for every valid configuration: the harness clamps shard
-// counts into the canonical (≥ 2) family, where the simulator's event
-// order — and therefore every output byte — is independent of both the
-// worker pool and the shard count.
+// byte-identical for every valid configuration: the simulator's event
+// order, and therefore every output byte, is independent of the worker
+// pool.
 type Config struct {
 	// Workers is the primary execution's worker-pool size; non-positive
 	// means GOMAXPROCS.
 	Workers int
-	// Shards is the primary execution's simulator shard count; anything
-	// below 2 is clamped to 2, keeping every run in the canonical
-	// event-order family.
-	Shards int
 }
 
 // normalize resolves the two execution profiles: the primary one from the
-// config, and a deliberately different secondary one (different workers
-// AND different shards, both canonical) whose byte-identical output is the
-// determinism invariant's evidence.
+// config, and a secondary one with a different worker count whose
+// byte-identical output is the determinism invariant's evidence.
 func (c Config) normalize() (primary, alt campaign.Config) {
-	shards := c.Shards
-	if shards < 2 {
-		shards = 2
-	}
-	primary = campaign.Config{Workers: c.Workers, Shards: shards}
 	altWorkers := 1
 	if c.Workers == 1 {
 		altWorkers = 3
 	}
-	alt = campaign.Config{Workers: altWorkers, Shards: shards + 1}
-	return primary, alt
+	return campaign.Config{Workers: c.Workers}, campaign.Config{Workers: altWorkers}
 }
 
 // Run executes the experiment end to end: machine-checks the single-delta
 // property at every seed, runs both arms under every seed twice (at
-// different worker and shard counts), evaluates the invariants over every
+// different worker counts), evaluates the invariants over every
 // arm, computes per-seed and aggregate effect sizes on the declared
 // metric, and renders the verdict into a Report.
 //
@@ -76,9 +64,9 @@ func Run(e Experiment, cfg Config) (*Report, error) {
 		Seeds:      append([]uint64(nil), e.Seeds...),
 	}
 
-	// The sharded engine always executes in canonical event order, so the
-	// components are diffed under the same mode bits the runs are keyed by.
-	mode := campaign.KeyMode{Canon: true}
+	// The components are diffed under the same mode bits the runs are
+	// keyed by.
+	mode := campaign.KeyMode{}
 
 	violations := map[string][]string{}
 	var perSeed []float64

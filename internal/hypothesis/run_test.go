@@ -51,15 +51,15 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunReportDeterminism: the same experiment under different worker and
-// shard configurations yields byte-identical JSON and Markdown reports —
+// TestRunReportDeterminism: the same experiment under different worker
+// counts yields byte-identical JSON and Markdown reports —
 // the property CI gates on.
 func TestRunReportDeterminism(t *testing.T) {
 	e := smallExperiment()
 	configs := []Config{
-		{Workers: 1, Shards: 0}, // shards clamp to 2
-		{Workers: 4, Shards: 3},
-		{Workers: 2, Shards: 5},
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 2},
 	}
 	var wantJSON, wantMD []byte
 	for i, cfg := range configs {
@@ -105,17 +105,11 @@ func TestRunRejectsInvalidExperiment(t *testing.T) {
 	}
 }
 
-// TestConfigNormalize: every configuration resolves to two canonical
-// (shards ≥ 2) execution profiles that differ in both workers and shards.
+// TestConfigNormalize: every configuration resolves to two execution
+// profiles with different worker counts.
 func TestConfigNormalize(t *testing.T) {
-	for _, cfg := range []Config{{}, {Workers: 1, Shards: 1}, {Workers: 8, Shards: 4}} {
+	for _, cfg := range []Config{{}, {Workers: 1}, {Workers: 8}} {
 		p, a := cfg.normalize()
-		if p.Shards < 2 || a.Shards < 2 {
-			t.Errorf("%+v: shards %d/%d below the canonical family", cfg, p.Shards, a.Shards)
-		}
-		if p.Shards == a.Shards {
-			t.Errorf("%+v: executions share shard count %d", cfg, p.Shards)
-		}
 		if p.Workers == a.Workers {
 			t.Errorf("%+v: executions share worker count %d", cfg, p.Workers)
 		}
@@ -141,7 +135,7 @@ func TestBuiltinSuiteWellFormed(t *testing.T) {
 			continue
 		}
 		for _, seed := range e.Seeds {
-			if _, err := e.CheckDelta(seed, campaign.KeyMode{Canon: true}); err != nil {
+			if _, err := e.CheckDelta(seed, campaign.KeyMode{}); err != nil {
 				t.Errorf("%s seed %d: %v", e.ID, seed, err)
 			}
 		}

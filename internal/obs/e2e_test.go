@@ -2,9 +2,9 @@ package obs_test
 
 // End-to-end flight-recorder tests: a Recorder attached to real simulations
 // must (a) mirror the simulator's operation kinds, (b) produce byte-identical
-// timeline/sampler/histogram artifacts for every shard count, pinned against
-// a golden file, (c) emit schema-valid Chrome trace JSON, and (d) surface
-// histograms on simmpi.Result without perturbing the simulation.
+// timeline/sampler/histogram artifacts for every (deprecated, ignored)
+// shard count, pinned against a golden file, (c) emit schema-valid Chrome
+// trace JSON, and (d) surface histograms on simmpi.Result without perturbing the simulation.
 //
 // To bless an intentional artifact change:
 //
@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -45,10 +44,8 @@ func runFlight(t *testing.T, edge, n, m, shards int, rec *obs.Recorder) simmpi.R
 	return res
 }
 
-// shardInvariantArtifact renders the three shard-invariant artifacts —
-// timeline, sampled CSV and histogram summaries — as one blob. WindowStall
-// is deliberately absent: it measures the sharded scheduler itself and
-// varies with the shard count (see the SimHists doc).
+// shardInvariantArtifact renders the three artifacts — timeline, sampled
+// CSV and histogram summaries — as one blob.
 func shardInvariantArtifact(t *testing.T, rec *obs.Recorder, every float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -184,34 +181,6 @@ func TestTimelineSchemaFromSimulation(t *testing.T) {
 	// The last rank span ends at the simulated makespan.
 	if diff := maxEnd - res.Time; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("last span ends at %v, makespan %v", maxEnd, res.Time)
-	}
-}
-
-// TestShardWindowTracks: a sharded run with Windows on yields one shard
-// track per shard in the timeline (pid 3), with window/stall events.
-func TestShardWindowTracks(t *testing.T) {
-	rec := &obs.Recorder{Windows: true}
-	runFlight(t, 16, 4, 4, 4, rec)
-	ws := rec.WindowList()
-	if len(ws) == 0 {
-		t.Fatal("sharded run recorded no window events")
-	}
-	shards := map[int32]bool{}
-	for _, w := range ws {
-		shards[w.Shard] = true
-		if w.Index == 0 || w.End < w.Start {
-			t.Fatalf("malformed window event %+v", w)
-		}
-	}
-	if len(shards) != 4 {
-		t.Errorf("shard tracks = %d, want 4", len(shards))
-	}
-	var buf bytes.Buffer
-	if err := obs.WriteTimeline(&buf, rec, obs.TimelineOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"name":"shards"`) {
-		t.Error("timeline missing the shards process group")
 	}
 }
 

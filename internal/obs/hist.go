@@ -9,7 +9,7 @@ import (
 
 // This file holds the log-bucketed histogram the flight recorder uses for
 // every duration metric. The design constraint is byte-determinism for any
-// worker or shard count: a histogram therefore stores only integer bucket
+// worker count: a histogram therefore stores only integer bucket
 // counts — no floating-point sums whose value would depend on accumulation
 // order — and every derived statistic (quantiles, approximate mean) is
 // computed from the counts in fixed bucket order.
@@ -136,11 +136,8 @@ func (h *Hist) Summary() string {
 // fmtG formats a float with the shortest exact representation.
 func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// SimHists bundles the simulator's duration histograms. RecvWait,
-// MsgLatency and LinkDelay depend only on run content and are
-// byte-identical for every worker and shard count; WindowStall measures
-// the sharded scheduler itself, so it is empty on serial runs and varies
-// with the shard count (keep it out of shard-invariant artifacts).
+// SimHists bundles the simulator's duration histograms. They depend only
+// on run content and are byte-identical for every worker count.
 type SimHists struct {
 	// RecvWait is the time a rank spent blocked in each receive, from the
 	// receive post to the resume (µs).
@@ -151,9 +148,6 @@ type SimHists struct {
 	// LinkDelay is the per-link queueing delay of every interconnect link
 	// reservation (µs); empty on flat-wire runs.
 	LinkDelay Hist
-	// WindowStall is the duration of every (shard, window) pair that ran
-	// no events — the lookahead scheduler's idle windows (µs).
-	WindowStall Hist
 }
 
 // Merge adds another bundle's counts into h.
@@ -161,7 +155,6 @@ func (h *SimHists) Merge(o *SimHists) {
 	h.RecvWait.Merge(&o.RecvWait)
 	h.MsgLatency.Merge(&o.MsgLatency)
 	h.LinkDelay.Merge(&o.LinkDelay)
-	h.WindowStall.Merge(&o.WindowStall)
 }
 
 // Reset empties every histogram.
@@ -172,5 +165,4 @@ func (h *SimHists) Write(w io.Writer) {
 	fmt.Fprintf(w, "%-13s %s\n", "recv_wait", h.RecvWait.Summary())
 	fmt.Fprintf(w, "%-13s %s\n", "msg_latency", h.MsgLatency.Summary())
 	fmt.Fprintf(w, "%-13s %s\n", "link_delay", h.LinkDelay.Summary())
-	fmt.Fprintf(w, "%-13s %s\n", "window_stall", h.WindowStall.Summary())
 }

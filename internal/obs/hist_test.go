@@ -123,16 +123,15 @@ func TestSimHistsWriteAndMerge(t *testing.T) {
 	a.RecvWait.Observe(1)
 	b.MsgLatency.Observe(2)
 	b.LinkDelay.Observe(3)
-	b.WindowStall.Observe(4)
 	a.Merge(&b)
 	var sb strings.Builder
 	a.Write(&sb)
 	out := sb.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
+	if len(lines) != 3 {
 		t.Fatalf("Write produced %d lines:\n%s", len(lines), out)
 	}
-	for i, name := range []string{"recv_wait", "msg_latency", "link_delay", "window_stall"} {
+	for i, name := range []string{"recv_wait", "msg_latency", "link_delay"} {
 		if !strings.HasPrefix(lines[i], name) {
 			t.Errorf("line %d = %q, want prefix %q", i, lines[i], name)
 		}
@@ -141,7 +140,7 @@ func TestSimHistsWriteAndMerge(t *testing.T) {
 		}
 	}
 	a.Reset()
-	if a.RecvWait.N() != 0 || a.WindowStall.N() != 0 {
+	if a.RecvWait.N() != 0 || a.LinkDelay.N() != 0 {
 		t.Error("Reset left observations behind")
 	}
 }

@@ -1,8 +1,8 @@
 // Package obs is the simulator's flight recorder: a unified, deterministic
 // observability layer for the discrete-event MPI stack. A Recorder attached
-// to a simulation (simmpi.Options.Obs) collects four event streams —
-// per-rank activity spans, message lifetimes, interconnect link
-// reservations and lookahead-window statistics — plus log-bucketed duration
+// to a simulation (simmpi.Options.Obs) collects event streams — per-rank
+// activity spans, program ops, message lifetimes and interconnect link
+// reservations — plus log-bucketed duration
 // histograms (hist.go), and renders them as a Chrome trace-event timeline
 // for ui.perfetto.dev (timeline.go), a sampled CSV time series
 // (sampler.go), or per-rank compute/communication breakdowns and a text
@@ -15,15 +15,9 @@
 //     work and no allocations; cmd/benchgate gates the hook overhead via
 //     events_per_sec_obs_disabled.
 //
-//   - Enabled is deterministic. A Recorder does not force serial
-//     execution: sharded runs append spans to per-rank buffers (each rank
-//     is owned by exactly one shard), accumulate histograms in per-shard
-//     scratch merged additively at the end, and record link and window
-//     events only from single-threaded code (the barrier coordinator). Exports sort every stream by content, and histograms
-//     store only integer bucket counts, so the rendered output is
-//     byte-identical for any worker or shard count. The one exception is
-//     the scheduler's own telemetry — window events and the WindowStall
-//     histogram — which necessarily varies with the shard count.
+//   - Enabled is deterministic. Exports sort every stream by content, and
+//     histograms store only integer bucket counts, so the rendered output
+//     is byte-identical for any worker count.
 package obs
 
 import (
@@ -95,15 +89,6 @@ type OpEvent struct {
 	Kind  uint8
 }
 
-// WindowEvent is one shard's view of one lookahead window.
-type WindowEvent struct {
-	Start, End float64
-	Index      uint64 // window number, starting at 1
-	Events     uint64 // events the shard executed inside the window
-	Shard      int32
-	Pending    int32 // shard event-heap depth at the closing barrier
-}
-
 // Recorder collects simulation event streams and histograms. Set the
 // feature flags before attaching it to a simulation; all of them default
 // to off, and recording with every flag false is valid but collects
@@ -121,27 +106,23 @@ type Recorder struct {
 	// Links records interconnect link reservations (timeline link tracks,
 	// sampler link business).
 	Links bool
-	// Windows records lookahead-window events on sharded runs (timeline
-	// shard tracks). Serial runs have no windows.
-	Windows bool
 	// Hist accumulates the duration histograms.
 	Hist bool
 	// Ops records per-rank program op streams (trace recording for
-	// internal/replay). Ops arrive in program order from the shard that
-	// owns the rank, so the stream is deterministic for any shard count.
+	// internal/replay). Ops arrive in program order, so the stream is
+	// deterministic.
 	Ops bool
 
-	spans   [][]Span
-	ops     [][]OpEvent
-	msgs    []MsgEvent
-	links   []LinkEvent
-	windows []WindowEvent
-	hists   SimHists
+	spans [][]Span
+	ops   [][]OpEvent
+	msgs  []MsgEvent
+	links []LinkEvent
+	hists SimHists
 }
 
 // PrepareRanks sizes the per-rank span buffers for a run of n ranks,
 // truncating buffers kept from earlier runs. The simulator calls it before
-// any shard goroutine starts.
+// the run starts.
 func (r *Recorder) PrepareRanks(n int) {
 	if cap(r.spans) < n {
 		r.spans = append(r.spans[:cap(r.spans)], make([][]Span, n-cap(r.spans))...)
@@ -165,17 +146,15 @@ func (r *Recorder) PrepareRanks(n int) {
 func (r *Recorder) Ranks() int { return len(r.spans) }
 
 // RankSpan records one activity span. Each rank's spans arrive in
-// chronological order from the shard that owns the rank; distinct ranks may
-// be recorded concurrently (they touch distinct buffer slots).
+// chronological order.
 func (r *Recorder) RankSpan(rank int32, kind uint8, peer, bytes int32, start, end float64) {
 	r.spans[rank] = append(r.spans[rank], Span{
 		Start: start, End: end, Rank: rank, Peer: peer, Bytes: bytes, Kind: kind,
 	})
 }
 
-// RankOp records one program operation. Like RankSpan, each rank's ops
-// arrive in program order from the shard that owns the rank; distinct
-// ranks may be recorded concurrently.
+// RankOp records one program operation. Each rank's ops arrive in program
+// order.
 func (r *Recorder) RankOp(rank int32, kind uint8, peer, bytes int32, dur float64) {
 	r.ops[rank] = append(r.ops[rank], OpEvent{Dur: dur, Peer: peer, Bytes: bytes, Kind: kind})
 }
@@ -183,14 +162,12 @@ func (r *Recorder) RankOp(rank int32, kind uint8, peer, bytes int32, dur float64
 // RankOps returns rank's recorded op stream (aliased, not copied).
 func (r *Recorder) RankOps(rank int) []OpEvent { return r.ops[rank] }
 
-// AddMessages appends a batch of completed messages (a shard's scratch,
-// folded in at the end of a run).
+// AddMessages appends a batch of completed messages (the simulator's
+// scratch, folded in at the end of a run).
 func (r *Recorder) AddMessages(ms []MsgEvent) { r.msgs = append(r.msgs, ms...) }
 
-// Link records one interconnect link reservation. The simulator only calls
-// it from single-threaded code: inline on serial runs, from the barrier
-// coordinator's link replay on sharded ones. The signature matches
-// topo.LinkTracer.
+// Link records one interconnect link reservation, in the order the
+// simulator makes them. The signature matches topo.LinkTracer.
 func (r *Recorder) Link(link int32, start, wait, dur float64) {
 	if r.Links {
 		r.links = append(r.links, LinkEvent{Start: start, Wait: wait, Dur: dur, Link: link})
@@ -200,22 +177,7 @@ func (r *Recorder) Link(link int32, start, wait, dur float64) {
 	}
 }
 
-// Window records one (shard, window) observation from the barrier
-// coordinator; a window in which the shard ran no events counts as a stall
-// of the window's length.
-func (r *Recorder) Window(index uint64, shard int32, start, end float64, events uint64, pending int) {
-	if r.Windows {
-		r.windows = append(r.windows, WindowEvent{
-			Start: start, End: end, Index: index, Events: events,
-			Shard: shard, Pending: int32(pending),
-		})
-	}
-	if r.Hist && events == 0 {
-		r.hists.WindowStall.Observe(end - start)
-	}
-}
-
-// MergeHists folds a shard's scratch histograms into the recorder's.
+// MergeHists folds the simulator's scratch histograms into the recorder's.
 func (r *Recorder) MergeHists(h *SimHists) { r.hists.Merge(h) }
 
 // Hists returns the accumulated histograms (aliased, not copied).
@@ -233,12 +195,11 @@ func (r *Recorder) Reset() {
 	r.ops = r.ops[:0]
 	r.msgs = r.msgs[:0]
 	r.links = r.links[:0]
-	r.windows = r.windows[:0]
 	r.hists.Reset()
 }
 
 // SpanList returns all spans rank-major, chronological within each rank —
-// a content-derived order, identical for every shard count.
+// a content-derived order.
 func (r *Recorder) SpanList() []Span {
 	total := 0
 	for i := range r.spans {
@@ -287,20 +248,6 @@ func (r *Recorder) LinkList() []LinkEvent {
 			return a.Dur < b.Dur
 		}
 		return a.Wait < b.Wait
-	})
-	return out
-}
-
-// WindowList returns the window events sorted by (window index, shard).
-func (r *Recorder) WindowList() []WindowEvent {
-	out := make([]WindowEvent, len(r.windows))
-	copy(out, r.windows)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Shard < b.Shard
 	})
 	return out
 }

@@ -7,18 +7,15 @@ import (
 )
 
 // handRecorder builds a small two-rank recording by hand: rank 0 computes
-// then sends, rank 1 receives; one eager message, one link reservation, two
-// windows (one a stall).
+// then sends, rank 1 receives; one eager message and one link reservation.
 func handRecorder() *Recorder {
-	r := &Recorder{Spans: true, Messages: true, Links: true, Windows: true, Hist: true}
+	r := &Recorder{Spans: true, Messages: true, Links: true, Hist: true}
 	r.PrepareRanks(2)
 	r.RankSpan(0, SpanCompute, -1, 0, 0, 10)
 	r.RankSpan(0, SpanSend, 1, 256, 10, 12)
 	r.RankSpan(1, SpanRecv, 0, 256, 0, 13)
 	r.AddMessages([]MsgEvent{{Send: 10, Ready: 13, Src: 0, Dst: 1, Bytes: 256}})
 	r.Link(3, 10.5, 0.5, 1.5)
-	r.Window(1, 0, 0, 8, 42, 2)
-	r.Window(1, 1, 0, 8, 0, 0) // stall
 	return r
 }
 
@@ -27,11 +24,10 @@ func TestRecorderFlagGating(t *testing.T) {
 	r.PrepareRanks(1)
 	r.AddMessages([]MsgEvent{{Send: 1, Ready: 2}}) // batch append is caller-gated
 	r.Link(0, 1, 0.5, 1)
-	r.Window(1, 0, 0, 5, 0, 0)
-	if len(r.LinkList()) != 0 || len(r.WindowList()) != 0 {
-		t.Error("disabled recorder collected link/window events")
+	if len(r.LinkList()) != 0 {
+		t.Error("disabled recorder collected link events")
 	}
-	if r.Hists().LinkDelay.N() != 0 || r.Hists().WindowStall.N() != 0 {
+	if r.Hists().LinkDelay.N() != 0 {
 		t.Error("disabled recorder observed histograms")
 	}
 }
@@ -55,17 +51,14 @@ func TestRecorderStreams(t *testing.T) {
 	if got := r.LinkList(); len(got) != 1 || got[0].Wait != 0.5 {
 		t.Errorf("links = %+v", got)
 	}
-	if got := r.WindowList(); len(got) != 2 || got[0].Shard != 0 || got[1].Events != 0 {
-		t.Errorf("windows = %+v", got)
-	}
-	// Hist flag routed the single-threaded hooks into the histograms.
-	if r.Hists().LinkDelay.N() != 1 || r.Hists().WindowStall.N() != 1 {
-		t.Errorf("hists = link %d stall %d", r.Hists().LinkDelay.N(), r.Hists().WindowStall.N())
+	// Hist flag routed the link hook into the histograms.
+	if r.Hists().LinkDelay.N() != 1 {
+		t.Errorf("hists = link %d", r.Hists().LinkDelay.N())
 	}
 }
 
 func TestRecorderListsSortByContent(t *testing.T) {
-	r := &Recorder{Messages: true, Links: true, Windows: true}
+	r := &Recorder{Messages: true, Links: true}
 	r.PrepareRanks(0)
 	// Insert out of order; the lists must come back content-sorted.
 	r.AddMessages([]MsgEvent{
@@ -76,9 +69,6 @@ func TestRecorderListsSortByContent(t *testing.T) {
 	r.Link(7, 4, 0, 1)
 	r.Link(2, 4, 0, 1)
 	r.Link(9, 1, 0, 1)
-	r.Window(2, 0, 10, 20, 1, 0)
-	r.Window(1, 1, 0, 10, 1, 0)
-	r.Window(1, 0, 0, 10, 1, 0)
 
 	msgs := r.MsgList()
 	if msgs[0].Send != 1 || msgs[1].Src != 0 || msgs[2].Src != 1 {
@@ -88,17 +78,13 @@ func TestRecorderListsSortByContent(t *testing.T) {
 	if links[0].Link != 9 || links[1].Link != 2 || links[2].Link != 7 {
 		t.Errorf("link order = %+v", links)
 	}
-	ws := r.WindowList()
-	if ws[0].Index != 1 || ws[0].Shard != 0 || ws[1].Shard != 1 || ws[2].Index != 2 {
-		t.Errorf("window order = %+v", ws)
-	}
 }
 
 func TestRecorderResetAndReuse(t *testing.T) {
 	r := handRecorder()
 	r.Reset()
 	if len(r.SpanList()) != 0 || len(r.MsgList()) != 0 || len(r.LinkList()) != 0 ||
-		len(r.WindowList()) != 0 || r.Hists().LinkDelay.N() != 0 {
+		r.Hists().LinkDelay.N() != 0 {
 		t.Fatal("Reset left data behind")
 	}
 	// PrepareRanks also truncates buffers kept from an earlier, larger run.

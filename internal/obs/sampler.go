@@ -16,11 +16,7 @@ import (
 // link event contributes a +1/−1 edge), so a sample costs O(log) amortised
 // rather than a scan, and the interval-summed link busy time accumulates in
 // the sorted link-event order, keeping the floating-point sums — and the
-// file bytes — identical for every worker and shard count.
-//
-// Per-shard event-heap depth is deliberately absent here: it is only
-// well-defined at window barriers, where the Recorder already captures it
-// (WindowEvent.Pending, exported on the timeline's shard tracks).
+// file bytes — identical for every worker count.
 
 // sampleCols are the delta-counted columns of the CSV, in output order.
 const (

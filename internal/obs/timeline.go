@@ -12,27 +12,22 @@ import (
 // This file renders a recording as Chrome trace-event JSON, the format
 // ui.perfetto.dev (and chrome://tracing) loads directly. The object form
 // {"traceEvents": [...]} is used so downstream tooling can schema-check the
-// file. Three process groups organise the tracks:
+// file. Two process groups organise the tracks:
 //
 //	pid 1 "ranks":  one thread per rank, complete ("X") events for every
 //	                compute/send/recv/collective span
 //	pid 2 "links":  one thread per interconnect link that saw traffic,
 //	                occupancy events with the queueing delay in args
-//	pid 3 "shards": one thread per shard of a parallel run, one event per
-//	                lookahead window with events-run and heap depth in args;
-//	                zero-event windows are flagged as stalls
 //
 // Simulated time is already in µs — the trace-event "ts" unit — so
 // timestamps pass through unscaled. All event ordering is content-derived
 // (see the Recorder list methods), so the file is byte-identical for any
-// worker or shard count; shard tracks exist only when windows were
-// recorded and inherently depend on the shard count.
+// worker count.
 
 // Trace-event process ids per track family.
 const (
-	pidRanks  = 1
-	pidLinks  = 2
-	pidShards = 3
+	pidRanks = 1
+	pidLinks = 2
 )
 
 // TimelineOptions customises WriteTimeline.
@@ -98,29 +93,6 @@ func WriteTimeline(w io.Writer, r *Recorder, opt TimelineOptions) error {
 			l := &links[i]
 			e.complete("xfer", "link", pidLinks, tidOf[l.Link], l.Start, l.Dur,
 				fmt.Sprintf(`{"wait":%s}`, fmtG(l.Wait)))
-		}
-	}
-
-	windows := r.WindowList()
-	if len(windows) > 0 {
-		e.meta("process_name", pidShards, 0, "name", `"shards"`)
-		maxShard := int32(0)
-		for i := range windows {
-			if windows[i].Shard > maxShard {
-				maxShard = windows[i].Shard
-			}
-		}
-		for s := int32(0); s <= maxShard; s++ {
-			e.meta("thread_name", pidShards, int(s), "name", strconv.Quote(fmt.Sprintf("shard %d", s)))
-		}
-		for i := range windows {
-			wv := &windows[i]
-			name := fmt.Sprintf("window %d", wv.Index)
-			if wv.Events == 0 {
-				name = fmt.Sprintf("stall %d", wv.Index)
-			}
-			e.complete(name, "window", pidShards, int(wv.Shard), wv.Start, wv.End-wv.Start,
-				fmt.Sprintf(`{"events":%d,"pending":%d}`, wv.Events, wv.Pending))
 		}
 	}
 

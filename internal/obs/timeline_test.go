@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -66,9 +65,9 @@ func TestTimelineSchema(t *testing.T) {
 			t.Errorf("event %d: unexpected phase %q", i, ev.Ph)
 		}
 	}
-	// 3 spans + 1 link + 2 windows.
-	if xEvents != 6 {
-		t.Errorf("X events = %d, want 6", xEvents)
+	// 3 spans + 1 link.
+	if xEvents != 4 {
+		t.Errorf("X events = %d, want 4", xEvents)
 	}
 }
 
@@ -77,25 +76,19 @@ func TestTimelineTracks(t *testing.T) {
 		LinkName: func(link int) string { return "torus+x" },
 	})
 	pids := map[int]bool{}
-	var sawStall, sawLinkName bool
+	var sawLinkName bool
 	for _, ev := range tf.TraceEvents {
 		if ev.Pid != nil {
 			pids[*ev.Pid] = true
-		}
-		if strings.HasPrefix(ev.Name, "stall") {
-			sawStall = true
 		}
 		if ev.Ph == "M" && ev.Args["name"] == "torus+x" {
 			sawLinkName = true
 		}
 	}
-	for _, pid := range []int{pidRanks, pidLinks, pidShards} {
+	for _, pid := range []int{pidRanks, pidLinks} {
 		if !pids[pid] {
 			t.Errorf("missing process group pid %d", pid)
 		}
-	}
-	if !sawStall {
-		t.Error("zero-event window not rendered as a stall")
 	}
 	if !sawLinkName {
 		t.Error("LinkName option ignored")

@@ -259,9 +259,6 @@ func checkOp(op simmpi.Op, rank, ranks int) error {
 
 // Options configures replay execution.
 type Options struct {
-	// Shards is the simulator shard count; 0 or 1 is serial, matching
-	// the default recording path.
-	Shards int
 	// Rec, if non-nil, is attached to the replay simulation — with Ops
 	// enabled it re-records the trace, the round-trip used by the CI
 	// smoke.
@@ -294,7 +291,7 @@ func Replay(hdr Header, ops [][]simmpi.Op, o Options) (simmpi.Result, error) {
 	for r, stream := range ops {
 		progs[r] = simmpi.Ops(stream...)
 	}
-	res, err := new(simmpi.Sim).Simulate(topo, progs, simmpi.Options{Shards: o.Shards, Obs: o.Rec})
+	res, err := new(simmpi.Sim).Simulate(topo, progs, simmpi.Options{Obs: o.Rec})
 	if err != nil {
 		return zero, fmt.Errorf("replay: %w", err)
 	}

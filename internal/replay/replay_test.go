@@ -79,15 +79,14 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// The recorded op stream must be invariant to the recording run's shard
-// count: ops are per-rank program order, not event order.
+// The recorded op stream must be invariant to the recording run's
+// (deprecated, ignored) shard count.
 func TestRecordingShardInvariant(t *testing.T) {
 	hdr1, rec1, _ := record(t, 1)
 	hdr4, rec4, _ := record(t, 4)
 	var t1, t4 bytes.Buffer
-	// Stamp both headers from the serial result so only the op streams
-	// are compared; sharded and serial results themselves are compared
-	// elsewhere.
+	// Stamp both headers from the first result so only the op streams
+	// are compared.
 	if err := Write(&t1, hdr1, rec1); err != nil {
 		t.Fatalf("Write serial: %v", err)
 	}

@@ -5,27 +5,11 @@ package simmpi
 // closure is one typed event kind here; Event.Arg0 carries the rank index
 // (evResume, evComm) or the message pool index (all others).
 //
-// Same-time event ordering comes in two modes, selected per run (shard.canon):
-//
-//   - Legacy (default serial run): events sharing a timestamp fire in
-//     scheduling order, the engine's (time, seq) tiebreak. Every kind fires
-//     at exactly the virtual time its closure predecessor did and events are
-//     scheduled in the same relative order, so serial results are
-//     bit-identical to the closure implementation (see golden_test.go).
-//   - Canonical (any run requested with Options.Shards > 1, including its
-//     single-shard serial core): same-time events fire in content order
-//     (evPri below). Scheduling order is a global property a sharded run
-//     cannot reproduce — a barrier-injected cross-shard event has no way to
-//     recover the sequence number the serial engine would have given it —
-//     so parallel mode derives the tie order from the event itself, making
-//     it identical for every shard count.
-//
-// In a parallel run (shard.xpart != nil) three hooks divert a message whose
-// stage belongs to another shard, or whose link reservation touches the
-// shared interconnect, into the shard's boundary buffers instead of
-// scheduling locally; the barrier coordinator (parallel.go) replays them in
-// a deterministic merged order. A default serial run never takes any hook,
-// so its instruction stream — and its results — are unchanged.
+// Events sharing a timestamp fire in scheduling order, the engine's
+// (time, seq) tiebreak. Every kind fires at exactly the virtual time its
+// closure predecessor did and events are scheduled in the same relative
+// order, so results are bit-identical to the closure implementation (see
+// golden_test.go).
 
 import (
 	"fmt"
@@ -35,7 +19,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Event kinds. Kind 0 is reserved by the des engine for closure events.
+// Event kinds. The des engine rejects kind 0 (see des.Kind), so they start
+// at 1.
 const (
 	// evResume unblocks rank Arg0, whose local clock was set when the
 	// event was scheduled, and advances its program.
@@ -64,302 +49,229 @@ const (
 	evRdvArrive
 )
 
-// evPri is the canonical same-time priority of an event — kind-major, then
-// the acting rank, then the peer rank. It depends only on event content,
-// never on scheduling order, so the sharded scheduler's single-shard core
-// and its barrier-injected cross-shard events (which would otherwise pick
-// up arbitrary sequence numbers) fire same-time events in exactly the same
-// order for every shard count. Ranks are truncated to 18 bits: beyond 256K
-// ranks same-time events of distinct rank pairs could tie, which weakens
-// the cross-shard bit-identity guarantee but never the run's determinism.
-func evPri(kind des.Kind, owner, peer int32) uint64 {
-	const rankPriMask = 1<<18 - 1
-	return uint64(kind)<<36 |
-		uint64(uint32(owner)&rankPriMask)<<18 |
-		uint64(uint32(peer)&rankPriMask)
-}
-
-// at schedules a typed event under the run's same-time order — canonical
-// content order (evPri) in parallel mode, legacy scheduling order otherwise.
-// owner is the rank whose state (bus, channel, progress) the event acts on;
-// peer the rank on the other end of the interaction, or the owner itself
-// for purely local events.
-func (sh *shard) at(t float64, kind des.Kind, owner, peer, arg0 int32) {
-	if sh.canon {
-		sh.eng.AtPri(t, evPri(kind, owner, peer), kind, arg0, 0)
-		return
-	}
-	sh.eng.AtKind(t, kind, arg0, 0)
-}
-
-// atCtx schedules a typed event under the canonical order with an explicit
-// scheduling context — the virtual time at which the serial engine would
-// have scheduled it. Only the barrier coordinator needs it (parallel.go):
-// events it injects were emitted inside another shard's window, so the
-// injecting engine's own clock is not the scheduling context.
-func (sh *shard) atCtx(t, ctx float64, kind des.Kind, owner, peer, arg0 int32) {
-	sh.eng.AtPriCtx(t, ctx, evPri(kind, owner, peer), kind, arg0, 0)
-}
-
 // handle dispatches every typed event of the simulation.
-func (sh *shard) handle(ev des.Event) {
+func (s *Sim) handle(ev des.Event) {
 	switch ev.Kind {
 	case evResume:
-		sh.advance(&sh.ranks[ev.Arg0])
+		s.advance(&s.ranks[ev.Arg0])
 
 	case evComm:
-		r := &sh.ranks[ev.Arg0]
-		sh.execComm(r, r.pending)
+		r := &s.ranks[ev.Arg0]
+		s.execComm(r, r.pending)
 
 	case evDeliver:
-		sh.deliver(ev.Arg0, sh.eng.Now())
+		s.deliver(ev.Arg0, s.eng.Now())
 
 	case evEagerInject:
 		// Table 1(a) eq (1) continued: sender-side bus, then wire flight.
 		// With an interconnect attached the flight additionally routes over
 		// contended links (zero extra on the flat wire — bit-identical).
-		m := &sh.msgs[ev.Arg0]
-		p := &sh.par
-		inject := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), inject, int(m.bytes))
+		m := &s.msgs[ev.Arg0]
+		p := &s.par
+		inject := s.eng.Now()
+		wait := s.topo.AcquireBus(int(m.src), inject, int(m.bytes))
 		start := inject + wait
-		if sh.deferLinks() {
-			sh.pushLinkOp(inject, start, ev.Arg0, false)
-			return
-		}
-		start += sh.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
+		start += s.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
 		arrive := start + float64(m.bytes)*p.G + p.L
-		if m.cross {
-			sh.emitArrive(xkEagerArrive, arrive, ev.Arg0)
-			return
-		}
-		sh.at(arrive, evEagerArrive, m.dst, m.src, ev.Arg0)
+		s.eng.AtKind(arrive, evEagerArrive, ev.Arg0, 0)
 
 	case evEagerArrive:
-		m := &sh.msgs[ev.Arg0]
-		arrive := sh.eng.Now()
-		w2 := sh.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
-		sh.deliver(ev.Arg0, arrive+w2)
+		m := &s.msgs[ev.Arg0]
+		arrive := s.eng.Now()
+		w2 := s.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
+		s.deliver(ev.Arg0, arrive+w2)
 
 	case evChipDMA:
 		// Table 1(b) eq (6) continued: DMA via the shared bus.
-		m := &sh.msgs[ev.Arg0]
-		start := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), start, int(m.bytes))
-		sh.resumeAt(&sh.ranks[m.src], start+wait)
-		ready := start + wait + float64(m.bytes)*sh.par.Gdma
-		sh.at(ready, evDeliver, m.dst, m.src, ev.Arg0)
+		m := &s.msgs[ev.Arg0]
+		start := s.eng.Now()
+		wait := s.topo.AcquireBus(int(m.src), start, int(m.bytes))
+		s.resumeAt(&s.ranks[m.src], start+wait)
+		ready := start + wait + float64(m.bytes)*s.par.Gdma
+		s.eng.AtKind(ready, evDeliver, ev.Arg0, 0)
 
 	case evRTS:
-		sh.msgs[ev.Arg0].rtsArrived = true
-		sh.maybeHandshake(ev.Arg0)
+		s.msgs[ev.Arg0].rtsArrived = true
+		s.maybeHandshake(ev.Arg0)
 
 	case evCTS:
-		m := &sh.msgs[ev.Arg0]
-		p := &sh.par
-		inject := sh.eng.Now() + p.H + p.O
-		sh.at(inject, evRdvInject, m.src, m.dst, ev.Arg0)
+		inject := s.eng.Now() + s.par.H + s.par.O
+		s.eng.AtKind(inject, evRdvInject, ev.Arg0, 0)
 
 	case evRdvInject:
-		m := &sh.msgs[ev.Arg0]
-		p := &sh.par
-		inject := sh.eng.Now()
-		wait := sh.topo.AcquireBus(int(m.src), inject, int(m.bytes))
-		sh.resumeAt(&sh.ranks[m.src], inject+wait)
+		m := &s.msgs[ev.Arg0]
+		p := &s.par
+		inject := s.eng.Now()
+		wait := s.topo.AcquireBus(int(m.src), inject, int(m.bytes))
+		s.resumeAt(&s.ranks[m.src], inject+wait)
 		start := inject + wait
-		if sh.deferLinks() {
-			sh.pushLinkOp(inject, start, ev.Arg0, true)
-			return
-		}
-		start += sh.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
+		start += s.topo.AcquireLinks(int(m.src), int(m.dst), start, int(m.bytes))
 		arrive := start + float64(m.bytes)*p.G + p.L
-		if m.cross {
-			sh.emitArrive(xkRdvArrive, arrive, ev.Arg0)
-			return
-		}
-		sh.at(arrive, evRdvArrive, m.dst, m.src, ev.Arg0)
+		s.eng.AtKind(arrive, evRdvArrive, ev.Arg0, 0)
 
 	case evRdvArrive:
-		m := &sh.msgs[ev.Arg0]
-		arrive := sh.eng.Now()
-		w2 := sh.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
+		m := &s.msgs[ev.Arg0]
+		arrive := s.eng.Now()
+		w2 := s.topo.AcquireBus(int(m.dst), arrive, int(m.bytes))
 		ready := arrive + w2
 		m.ready = true
 		m.readyAt = ready
 		req := m.recv
-		resume := ready + sh.par.O
-		sh.resumeAt(&sh.ranks[sh.reqs[req].rank], resume)
-		if sh.hists != nil {
-			sh.hists.RecvWait.Observe(resume - sh.reqs[req].postAt)
-			sh.hists.MsgLatency.Observe(ready - m.sendAt)
+		resume := ready + s.par.O
+		s.resumeAt(&s.ranks[s.reqs[req].rank], resume)
+		if s.hists != nil {
+			s.hists.RecvWait.Observe(resume - s.reqs[req].postAt)
+			s.hists.MsgLatency.Observe(ready - m.sendAt)
 		}
-		if sh.obsMsg {
-			sh.obsMsgs = append(sh.obsMsgs, obs.MsgEvent{
+		if s.obsMsg {
+			s.obsMsgs = append(s.obsMsgs, obs.MsgEvent{
 				Send: m.sendAt, Ready: ready, Src: m.src, Dst: m.dst, Bytes: m.bytes, Rdv: true,
 			})
 		}
-		sh.unlink(&sh.channels[m.ch], ev.Arg0)
-		sh.freeReq(req)
-		sh.freeMsg(ev.Arg0)
+		s.unlink(&s.channels[m.ch], ev.Arg0)
+		s.freeReq(req)
+		s.freeMsg(ev.Arg0)
 
 	default:
 		panic(fmt.Sprintf("simmpi: unknown event kind %d", ev.Kind))
 	}
 }
 
-func (sh *shard) execSend(r *rankState, peer, bytes int) {
-	if peer == int(r.id) || peer < 0 || peer >= len(sh.ranks) {
+func (s *Sim) execSend(r *rankState, peer, bytes int) {
+	if peer == int(r.id) || peer < 0 || peer >= len(s.ranks) {
 		panic(fmt.Sprintf("simmpi: rank %d sends to invalid peer %d", r.id, peer))
 	}
-	if sh.xpart != nil && sh.xpart[peer] != sh.id {
-		sh.execSendCross(r, peer, bytes)
-		return
-	}
-	sh.sends++
-	sh.bytes += uint64(bytes)
+	s.sends++
+	s.bytes += uint64(bytes)
 	ts := r.t
-	p := &sh.par
-	path := sh.topo.Path(int(r.id), peer)
-	ci := sh.chanIndex(r.id, int32(peer))
-	mi := sh.allocMsg()
-	m := &sh.msgs[mi]
+	p := &s.par
+	path := s.topo.Path(int(r.id), peer)
+	ci := s.chanIndex(r.id, int32(peer))
+	mi := s.allocMsg()
+	m := &s.msgs[mi]
 	m.src, m.dst, m.bytes, m.ch = r.id, int32(peer), int32(bytes), ci
 	m.sendAt = ts
-	ch := &sh.channels[ci]
-	ch.msgs.pushBack(&sh.slab, mi)
+	ch := &s.channels[ci]
+	ch.msgs.pushBack(&s.slab, mi)
 	// Match a posted receive, if one is waiting.
 	if ch.recvs.n > 0 {
-		m.recv = ch.recvs.popFront(sh.slab)
+		m.recv = ch.recvs.popFront(s.slab)
 	}
 
 	switch {
 	case path == logp.OnChip && bytes <= logp.EagerThreshold:
 		// Table 1(b) eq (5): ocopy + size×Gcopy + ocopy.
-		sh.resumeAt(r, ts+p.Ocopy)
+		s.resumeAt(r, ts+p.Ocopy)
 		ready := ts + p.Ocopy + float64(bytes)*p.Gcopy
-		sh.at(ready, evDeliver, m.dst, m.src, mi)
+		s.eng.AtKind(ready, evDeliver, mi, 0)
 
 	case path == logp.OnChip:
 		// Table 1(b) eq (6): o + size×Gdma + ocopy, DMA via the shared bus.
-		sh.at(ts+p.Ochip, evChipDMA, m.src, m.dst, mi)
+		s.eng.AtKind(ts+p.Ochip, evChipDMA, mi, 0)
 
 	case bytes <= logp.EagerThreshold:
 		// Table 1(a) eq (1): o + size×G + L + o; eager, sender buffers.
-		sh.resumeAt(r, ts+p.O)
-		sh.at(ts+p.O, evEagerInject, m.src, m.dst, mi)
+		s.resumeAt(r, ts+p.O)
+		s.eng.AtKind(ts+p.O, evEagerInject, mi, 0)
 
 	default:
 		// Table 1(a) eq (2): rendezvous. The sender stays blocked until the
 		// clear-to-send arrives and the data is injected.
 		m.rendezvous = true
-		sh.at(ts+p.O+p.L, evRTS, m.dst, m.src, mi)
+		s.eng.AtKind(ts+p.O+p.L, evRTS, mi, 0)
 	}
 }
 
 // maybeHandshake fires the rendezvous clear-to-send once both the RTS has
 // arrived at the receiver and a matching receive has been posted. It is
 // called at the virtual time of the later of those two events.
-func (sh *shard) maybeHandshake(mi int32) {
-	m := &sh.msgs[mi]
+func (s *Sim) maybeHandshake(mi int32) {
+	m := &s.msgs[mi]
 	if m.ctsIssued || !m.rtsArrived || m.recv == none {
 		return
 	}
 	m.ctsIssued = true
-	p := &sh.par
-	th := sh.eng.Now() // max(recv post, RTS arrival)
-	if m.cross {
-		// Receiver-side proxy of a cross-shard rendezvous: the CTS executes
-		// on the sender's shard. Routed through the barrier (parallel.go).
-		sh.emitCTS(th+p.H+p.L, mi)
-		return
-	}
-	sh.at(th+p.H+p.L, evCTS, m.src, m.dst, mi)
+	p := &s.par
+	th := s.eng.Now() // max(recv post, RTS arrival)
+	s.eng.AtKind(th+p.H+p.L, evCTS, mi, 0)
 }
 
 // deliver marks an eager or on-chip message's data available at the
 // receiver and completes a matched waiting receive.
-func (sh *shard) deliver(mi int32, ready float64) {
-	m := &sh.msgs[mi]
+func (s *Sim) deliver(mi int32, ready float64) {
+	m := &s.msgs[mi]
 	m.ready = true
 	m.readyAt = ready
 	if m.recv != none {
-		sh.completeRecv(mi)
+		s.completeRecv(mi)
 	}
 }
 
 // completeRecv finishes a matched, ready, non-rendezvous receive and
 // returns the message and its request to their pools.
-func (sh *shard) completeRecv(mi int32) {
-	m := &sh.msgs[mi]
+func (s *Sim) completeRecv(mi int32) {
+	m := &s.msgs[mi]
 	ri := m.recv
-	req := &sh.reqs[ri]
+	req := &s.reqs[ri]
 	start := m.readyAt
 	if req.postAt > start {
 		start = req.postAt
 	}
-	resume := start + sh.recvOverhead(m)
-	sh.resumeAt(&sh.ranks[req.rank], resume)
-	if sh.hists != nil {
-		sh.hists.RecvWait.Observe(resume - req.postAt)
-		sh.hists.MsgLatency.Observe(m.readyAt - m.sendAt)
+	resume := start + s.recvOverhead(m)
+	s.resumeAt(&s.ranks[req.rank], resume)
+	if s.hists != nil {
+		s.hists.RecvWait.Observe(resume - req.postAt)
+		s.hists.MsgLatency.Observe(m.readyAt - m.sendAt)
 	}
-	if sh.obsMsg {
-		sh.obsMsgs = append(sh.obsMsgs, obs.MsgEvent{
+	if s.obsMsg {
+		s.obsMsgs = append(s.obsMsgs, obs.MsgEvent{
 			Send: m.sendAt, Ready: m.readyAt, Src: m.src, Dst: m.dst, Bytes: m.bytes,
 		})
 	}
-	sh.unlink(&sh.channels[m.ch], mi)
-	sh.freeReq(ri)
-	sh.freeMsg(mi)
+	s.unlink(&s.channels[m.ch], mi)
+	s.freeReq(ri)
+	s.freeMsg(mi)
 }
 
 // recvOverhead returns the receiver-side trailing processing time: o for
 // off-node messages (Table 1(a) eqs (3), (4b)), ocopy for on-chip messages
 // (Table 1(b) eqs (7), (8b)).
-func (sh *shard) recvOverhead(m *message) float64 {
-	if sh.topo.Path(int(m.src), int(m.dst)) == logp.OnChip {
-		return sh.par.Ocopy
+func (s *Sim) recvOverhead(m *message) float64 {
+	if s.topo.Path(int(m.src), int(m.dst)) == logp.OnChip {
+		return s.par.Ocopy
 	}
-	return sh.par.O
+	return s.par.O
 }
 
-func (sh *shard) execRecv(r *rankState, peer int) {
-	if peer == int(r.id) || peer < 0 || peer >= len(sh.ranks) {
+func (s *Sim) execRecv(r *rankState, peer int) {
+	if peer == int(r.id) || peer < 0 || peer >= len(s.ranks) {
 		panic(fmt.Sprintf("simmpi: rank %d receives from invalid peer %d", r.id, peer))
 	}
-	sh.recvs++
-	var ci int32
-	if sh.xpart != nil && sh.xpart[peer] != sh.id {
-		// Cross-shard sender: its messages are proxied into this shard's
-		// channel table at window barriers (parallel.go), addressed through
-		// the receiver's in-table rather than the sender's out-table.
-		ci = sh.chanIndexIn(int32(peer), r.id)
-	} else {
-		ci = sh.chanIndex(int32(peer), r.id)
-	}
-	ri := sh.allocReq()
-	sh.reqs[ri] = recvReq{rank: r.id, postAt: r.t}
-	ch := &sh.channels[ci]
+	s.recvs++
+	ci := s.chanIndex(int32(peer), r.id)
+	ri := s.allocReq()
+	s.reqs[ri] = recvReq{rank: r.id, postAt: r.t}
+	ch := &s.channels[ci]
 	// Match the first message not already claimed by an earlier receive
 	// (MPI non-overtaking ordering between a pair of ranks).
 	mi := none
 	for k := int32(0); k < ch.msgs.n; k++ {
-		if idx := ch.msgs.at(sh.slab, k); sh.msgs[idx].recv == none {
+		if idx := ch.msgs.at(s.slab, k); s.msgs[idx].recv == none {
 			mi = idx
 			break
 		}
 	}
 	if mi == none {
-		ch.recvs.pushBack(&sh.slab, ri)
+		ch.recvs.pushBack(&s.slab, ri)
 		return
 	}
-	m := &sh.msgs[mi]
+	m := &s.msgs[mi]
 	m.recv = ri
 	switch {
 	case m.rendezvous:
-		sh.maybeHandshake(mi)
+		s.maybeHandshake(mi)
 	case m.ready:
-		sh.completeRecv(mi)
+		s.completeRecv(mi)
 	}
 	// Otherwise the message is still in flight; deliver() completes it.
 }

@@ -7,22 +7,20 @@ import (
 	"repro/internal/simnet"
 )
 
-// Options bundles every per-run configuration knob of a Sim — the flight
-// recorder and the conservative-parallel shard count — so a simulation is
+// Options bundles the per-run configuration of a Sim, so a simulation is
 // configured in one place: Simulate (or ResetWithOptions) takes them with
 // the topology of every run.
 //
-// The zero Options is the default serial, un-instrumented simulation.
+// The zero Options is the default, un-instrumented simulation.
 type Options struct {
-	// Obs attaches a flight recorder (internal/obs). A recorder is
-	// shard-safe: sharded runs record per-rank spans from the owning
-	// shards and merge histogram scratch single-threaded, so the recording
-	// is deterministic for every shard count. Set its feature flags before
-	// Run.
+	// Obs attaches a flight recorder (internal/obs). Set its feature
+	// flags before Run.
 	Obs *obs.Recorder
-	// Shards requests conservative parallel execution over that many
-	// shards; 0 or 1 is the serial engine. Every sharded count (≥ 2)
-	// yields bit-identical results (see parallel.go).
+	// Shards is accepted and ignored: every run executes on one engine.
+	// A negative value is still rejected.
+	//
+	// Deprecated: the sharded scheduler was retired; the 2-shard phase of
+	// the frozen perfbench module is its last caller.
 	Shards int
 }
 
@@ -35,14 +33,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// apply installs validated options on the Sim.
-func (s *Sim) apply(o Options) {
-	s.obs = o.Obs
-	s.nshards = o.Shards
-	if s.nshards < 1 {
-		s.nshards = 1
-	}
-}
+// ParallelStats always reports one shard and no lookahead windows or
+// barrier stalls.
+//
+// Deprecated: the sharded scheduler was retired; the 2-shard phase of the
+// frozen perfbench module is its last caller.
+func (s *Sim) ParallelStats() (shards int, windows, stalls uint64) { return 1, 0, 0 }
 
 // NewWithOptions returns a Sim bound to the given topology with the options
 // applied: new(Sim) followed by ResetWithOptions, so it runs exactly the
@@ -68,6 +64,6 @@ func (s *Sim) ResetWithOptions(topo *simnet.Topology, o Options) error {
 		return err
 	}
 	s.reset(topo)
-	s.apply(o)
+	s.obs = o.Obs
 	return nil
 }

@@ -9,15 +9,12 @@ import (
 // This file holds the allocation-free bookkeeping of the simulator's hot
 // path: free-list pools of message and receive-request records addressed
 // by index, per-rank flat channel tables, and ring-buffer channel queues
-// stored in one per-shard slab.
+// stored in one slab.
 //
 // Messages and receive requests are referenced everywhere by int32 pool
 // index (and carried through the event queue in Event.Arg0), never by
 // pointer, so scheduling and matching perform zero heap allocations once
-// the pools and rings reach steady-state size. Pools are per-shard: a
-// parallel run's shards never share a pool, and a message crossing shards
-// exists as two records — the sender-shard original and a receiver-shard
-// proxy — tied together by their proxy fields (parallel.go).
+// the pools and rings reach steady-state size.
 
 // none marks an empty index reference (no matched receive, no message).
 const none int32 = -1
@@ -30,12 +27,10 @@ type message struct {
 	bytes      int32
 	ch         int32 // owning channel index (satellite: unlink takes no map lookup)
 	recv       int32 // matched recvReq pool index, or none
-	proxy      int32 // cross-shard: the peer shard's record for this message
 	rendezvous bool
 	ready      bool // data fully available at the receiver
 	rtsArrived bool // rendezvous: request-to-send reached the receiver
 	ctsIssued  bool // rendezvous: clear-to-send was generated
-	cross      bool // message crosses a shard boundary (parallel runs only)
 }
 
 // recvReq is a pooled posted-receive record. Completion always navigates
@@ -46,20 +41,20 @@ type recvReq struct {
 	rank   int32 // receiving rank
 }
 
-func (sh *shard) allocMsg() int32 {
-	return des.AllocSlot(&sh.msgs, &sh.msgFree, message{recv: none, proxy: none})
+func (s *Sim) allocMsg() int32 {
+	return des.AllocSlot(&s.msgs, &s.msgFree, message{recv: none})
 }
 
-func (sh *shard) freeMsg(i int32) { sh.msgFree = append(sh.msgFree, i) }
+func (s *Sim) freeMsg(i int32) { s.msgFree = append(s.msgFree, i) }
 
-func (sh *shard) allocReq() int32 {
-	return des.AllocSlot(&sh.reqs, &sh.reqFree, recvReq{})
+func (s *Sim) allocReq() int32 {
+	return des.AllocSlot(&s.reqs, &s.reqFree, recvReq{})
 }
 
-func (sh *shard) freeReq(i int32) { sh.reqFree = append(sh.reqFree, i) }
+func (s *Sim) freeReq(i int32) { s.reqFree = append(s.reqFree, i) }
 
 // port is one entry of a rank's flat channel table: the peer rank and the
-// index of the channel in the owning shard's channel slice.
+// index of the channel in the Sim's channel slice.
 type port struct {
 	peer int32
 	ch   int32
@@ -69,40 +64,17 @@ type port struct {
 // first use. Wavefront ranks talk to at most four neighbours, so the
 // per-rank table is a handful of entries and a linear scan beats any map:
 // no hashing, no per-lookup allocation, one cache line.
-func (sh *shard) chanIndex(src, dst int32) int32 {
-	out := sh.ranks[src].out
+func (s *Sim) chanIndex(src, dst int32) int32 {
+	out := s.ranks[src].out
 	for i := range out {
 		if out[i].peer == dst {
 			return out[i].ch
 		}
 	}
-	ci := sh.claimChannel()
-	sh.ranks[src].out = append(out, port{peer: dst, ch: ci})
+	ci := int32(len(s.channels))
+	s.channels = append(s.channels, channel{})
+	s.ranks[src].out = append(out, port{peer: dst, ch: ci})
 	return ci
-}
-
-// chanIndexIn is chanIndex for a cross-shard (src, dst) pair, resolved and
-// created in the *receiver's* shard: the sender's out-table belongs to the
-// sender's shard and its indices address that shard's channel slice, so
-// cross traffic is keyed off a separate per-receiver in-table instead. Only
-// the receiving shard (during windows) and the barrier coordinator (between
-// windows) touch it.
-func (sh *shard) chanIndexIn(src, dst int32) int32 {
-	in := sh.ranks[dst].in
-	for i := range in {
-		if in[i].peer == src {
-			return in[i].ch
-		}
-	}
-	ci := sh.claimChannel()
-	sh.ranks[dst].in = append(in, port{peer: src, ch: ci})
-	return ci
-}
-
-// claimChannel returns a fresh channel slot with empty rings.
-func (sh *shard) claimChannel() int32 {
-	sh.channels = append(sh.channels, channel{})
-	return int32(len(sh.channels) - 1)
 }
 
 // channel is the per-(src, dst) pair of FIFO queues: unmatched or
@@ -118,16 +90,16 @@ type channel struct {
 // at most one claimed message is in flight per channel, so the completed
 // message is the queue head and removal is O(1); the ordered-remove
 // fallback is defensive only.
-func (sh *shard) unlink(ch *channel, mi int32) {
-	if ch.msgs.n > 0 && ch.msgs.at(sh.slab, 0) == mi {
-		ch.msgs.popFront(sh.slab)
+func (s *Sim) unlink(ch *channel, mi int32) {
+	if ch.msgs.n > 0 && ch.msgs.at(s.slab, 0) == mi {
+		ch.msgs.popFront(s.slab)
 		return
 	}
-	ch.msgs.remove(sh.slab, mi)
+	ch.msgs.remove(s.slab, mi)
 }
 
 // ring is a growable circular FIFO of pool indices. Its elements live in
-// a region of the owning shard's slab, so the tens of thousands of rings a
+// a region of the Sim's slab, so the tens of thousands of rings a
 // large run creates share one growing array instead of each allocating its
 // own. The region's size is zero or a power of two, so position wrap-around
 // is a mask. Growing a ring moves it to a fresh region at the end of the

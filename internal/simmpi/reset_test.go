@@ -215,9 +215,9 @@ func TestFreshRunAllocsPerEvent(t *testing.T) {
 	checkFreshRunAllocs(t, simmpi.Options{})
 }
 
-// TestShardedRunAllocsPerEvent holds a 2-shard run of the same
-// configuration to the same bound: the barrier between windows reuses its
-// record buffers and sorts them without allocating.
+// TestShardedRunAllocsPerEvent holds the configuration of the frozen
+// perfbench module's 2-shard phase to the same bound: the deprecated
+// shard count is ignored, so that run is the serial one.
 func TestShardedRunAllocsPerEvent(t *testing.T) {
 	checkFreshRunAllocs(t, simmpi.Options{Shards: 2})
 }

@@ -22,15 +22,8 @@
 // bit-identical to the original closure-based implementation
 // (golden_test.go).
 //
-// # Parallel execution
-//
-// All of that state lives in per-shard structs (type shard): a serial run
-// is exactly one shard executing its engine to completion, and
-// Options.Shards partitions the ranks — node-aligned, so buses stay shard-local — across
-// K shards advanced concurrently inside conservative lookahead windows
-// (des.Group, parallel.go). Cross-shard messages become boundary records
-// merged deterministically at window barriers, so the parallel result is
-// bit-identical to the serial one for any shard count.
+// One Sim runs one des engine in the engine's (time, seq) event order:
+// same-time events fire in the order they were scheduled.
 //
 // The simulator serves as the reproduction's "measured" substrate: the
 // plug-and-play analytic model of internal/core is validated against it the
@@ -171,22 +164,39 @@ func (r Result) MaxComputeTime() float64 {
 // SetProgram for each rank and Run in one call; a fresh and a reused Sim
 // execute the same code.
 //
-// A Sim's shards point back at it, so a Sim must not be copied after its
-// first run: hold it by pointer.
+// The engine's handler points back at the Sim, so a Sim must not be
+// copied after its first run: hold it by pointer.
 type Sim struct {
 	topo   *simnet.Topology
+	par    logp.Params // snapshot of topo.Params (frozen per Topology contract); hot handlers avoid re-copying the struct
 	ranks  []rankState
-	obs    *obs.Recorder
 	arGens []arGen
+	eng    des.Engine
 
-	// shards hold all hot-path state (engines, pools, channel tables,
-	// counters). A serial run is shards[0] executing alone; Options.Shards
-	// grows the slice and partitions the ranks (parallel.go). Shards are
-	// pointers so the engine handlers installed at construction stay valid
-	// as the slice grows.
-	shards  []*shard
-	nshards int // requested shard count (effective count resolved in Run)
-	prun    *parRun
+	// Flight-recorder snapshot (Options.Obs): the recorder plus cached
+	// feature booleans so hot-path guards are single loads, and the run's
+	// histogram scratch and message log, merged into the recorder at
+	// assemble.
+	obs         *obs.Recorder
+	obsSpans    bool
+	obsMsg      bool
+	obsOps      bool
+	hists       *obs.SimHists // points at histScratch when enabled, else nil
+	histScratch obs.SimHists
+	obsMsgs     []obs.MsgEvent
+
+	// Pooled hot-path state (pool.go). slab holds the elements of every
+	// channel ring.
+	channels []channel
+	slab     []int32
+	msgs     []message
+	msgFree  []int32
+	reqs     []recvReq
+	reqFree  []int32
+
+	sends uint64
+	recvs uint64
+	bytes uint64
 }
 
 type rankState struct {
@@ -200,7 +210,6 @@ type rankState struct {
 	pending Op // comm op waiting for its evComm event
 
 	out []port // flat channel table: peers this rank sends to
-	in  []port // parallel only: channels of cross-shard senders into this rank
 
 	// Collective sub-schedule in progress: the point-to-point constituent
 	// ops of an expanded collective (collops.go) and the next one to run.
@@ -219,129 +228,21 @@ type arGen struct {
 	bytes   int
 	entered int
 	times   []float64
-	pt      float64 // parallel only: completion context, max entry pt
-}
-
-// shard owns the event engine and every piece of message-machinery state
-// for a partition of the ranks. In a serial run there is exactly one shard
-// holding everything; in a parallel run each shard's state is touched only
-// by its own goroutine inside a window (and by the single-threaded barrier
-// coordinator between windows), so no locks appear on the hot path.
-type shard struct {
-	sim *Sim
-	id  int32
-	eng des.Engine
-
-	topo  *simnet.Topology
-	par   logp.Params // snapshot of topo.Params (frozen per Topology contract); hot handlers avoid re-copying the struct
-	ranks []rankState // shared header of Sim.ranks; shards touch only their own partition
-
-	// Flight-recorder snapshot (Options.Obs): the recorder plus cached
-	// feature booleans so hot-path guards are single loads, and the shard's
-	// private histogram scratch and message log — merged into the recorder
-	// single-threaded at assemble, so sharded recording needs no locks.
-	obs         *obs.Recorder
-	obsSpans    bool
-	obsMsg      bool
-	obsOps      bool
-	hists       *obs.SimHists // points at histScratch when enabled, else nil
-	histScratch obs.SimHists
-	obsMsgs     []obs.MsgEvent
-
-	// xpart maps rank → owning shard; nil in a serial run, which is the
-	// hot path's "is this send cross-shard?" test. xlinks defers shared
-	// interconnect reservations to the barrier (parallel + interconnect).
-	xpart  []int32
-	xlinks bool
-
-	// canon selects the content-derived canonical same-time event order
-	// (events.go evPri) instead of the legacy scheduling-order tiebreak.
-	// Set for any run requested with Options.Shards > 1 — including ones
-	// that fall back to a single shard — never for a default serial run,
-	// whose event order stays bit-identical to the original closure
-	// implementation (golden_test.go).
-	canon bool
-
-	// Pooled hot-path state (pool.go). slab holds the elements of every
-	// channel ring.
-	channels []channel
-	slab     []int32
-	msgs     []message
-	msgFree  []int32
-	reqs     []recvReq
-	reqFree  []int32
-
-	running int
-	sends   uint64
-	recvs   uint64
-	bytes   uint64
-
-	// Parallel-run boundary buffers (parallel.go): cross-shard message
-	// records, deferred link reservations and closed-form all-reduce
-	// entries emitted during a window, drained by the barrier coordinator.
-	xrecs   []crossRec
-	linkOps []linkOp
-	arEnter []arEntry
-	emit    int32 // per-window emission counter ordering boundary records
-}
-
-// newShard constructs shard i with its handler installed and its snapshot
-// fields bound to the Sim's current topology.
-func (s *Sim) newShard(i int32) *shard {
-	sh := &shard{sim: s, id: i}
-	sh.bind()
-	sh.eng.SetHandler(sh.handle)
-	return sh
-}
-
-// bind refreshes a shard's per-run snapshot fields (topology, parameters,
-// rank table header, recorder). Called at construction and on every reset —
-// Sim.ranks may have been reallocated for a larger rank count.
-func (sh *shard) bind() {
-	s := sh.sim
-	sh.topo = s.topo
-	sh.par = s.topo.Params
-	sh.ranks = s.ranks
-	sh.obs = s.obs
-	sh.obsSpans = s.obs != nil && s.obs.Spans
-	sh.obsMsg = s.obs != nil && s.obs.Messages
-	sh.obsOps = s.obs != nil && s.obs.Ops
-	sh.hists = nil
-	if s.obs != nil && s.obs.Hist {
-		sh.histScratch.Reset()
-		sh.hists = &sh.histScratch
-	}
-	sh.xpart = nil
-	sh.xlinks = false
-	sh.canon = s.nshards > 1
-}
-
-// clear returns a shard's pools and counters to the pristine state while
-// keeping every backing array (see Sim.reset).
-func (sh *shard) clear() {
-	sh.eng.Reset()
-	sh.channels, sh.slab = sh.channels[:0], sh.slab[:0]
-	sh.msgs, sh.msgFree = sh.msgs[:0], sh.msgFree[:0]
-	sh.reqs, sh.reqFree = sh.reqs[:0], sh.reqFree[:0]
-	sh.running, sh.sends, sh.recvs, sh.bytes = 0, 0, 0, 0
-	sh.obsMsgs = sh.obsMsgs[:0]
-	sh.xrecs = sh.xrecs[:0]
-	sh.linkOps = sh.linkOps[:0]
-	sh.arEnter = sh.arEnter[:0]
-	sh.emit = 0
 }
 
 // reset prepares the Sim for another run over the given topology,
 // retaining the capacity of every internal pool — the event queue, the
-// message and receive-request free lists, the channel rings, the per-rank
-// tables and every shard built for earlier parallel runs — so that
-// back-to-back simulations of similar size perform near-zero heap
-// allocations after the first. A Sim without shards (the zero Sim) gets
-// shard 0 here. All programs and the flight recorder are cleared.
-// ResetWithOptions is its only caller: it applies the next run's options
-// right after.
+// message and receive-request free lists, the channel rings and the
+// per-rank tables — so that back-to-back simulations of similar size
+// perform near-zero heap allocations after the first. All programs are
+// cleared. ResetWithOptions is its only caller: it applies the next run's
+// options right after.
 func (s *Sim) reset(topo *simnet.Topology) {
+	if s.topo == nil {
+		s.eng.SetHandler(s.handle) // first bind of a zero Sim
+	}
 	s.topo = topo
+	s.par = topo.Params
 	n := topo.Ranks()
 	used := n // entries that may hold an earlier run's state
 	if n <= cap(s.ranks) {
@@ -353,7 +254,7 @@ func (s *Sim) reset(topo *simnet.Topology) {
 	}
 	for i := range s.ranks[:used] {
 		r := &s.ranks[i]
-		*r = rankState{out: r.out[:0], in: r.in[:0], coll: r.coll[:0]}
+		*r = rankState{out: r.out[:0], coll: r.coll[:0]}
 	}
 	for i := range s.ranks {
 		s.ranks[i].id = int32(i)
@@ -362,14 +263,12 @@ func (s *Sim) reset(topo *simnet.Topology) {
 	// channel slots and ring regions, and AllocSlot repopulates the pools
 	// in the same order a fresh Sim would.
 	s.arGens = s.arGens[:0]
-	s.obs = nil
-	if len(s.shards) == 0 {
-		s.shards = []*shard{s.newShard(0)}
-	}
-	for _, sh := range s.shards {
-		sh.clear()
-		sh.bind()
-	}
+	s.eng.Reset()
+	s.channels, s.slab = s.channels[:0], s.slab[:0]
+	s.msgs, s.msgFree = s.msgs[:0], s.msgFree[:0]
+	s.reqs, s.reqFree = s.reqs[:0], s.reqFree[:0]
+	s.sends, s.recvs, s.bytes = 0, 0, 0
+	s.obsMsgs = s.obsMsgs[:0]
 }
 
 // Simulate runs one simulation: it rebinds the Sim to topo with options o
@@ -400,30 +299,30 @@ func (s *Sim) SetProgram(r int, p Program) { s.ranks[r].prog = p }
 // Run executes the simulation to completion. It returns an error if any
 // rank blocks forever (deadlock) — e.g. a receive with no matching send.
 func (s *Sim) Run() (Result, error) {
-	if o := s.obs; o != nil {
+	o := s.obs
+	s.obsSpans = o != nil && o.Spans
+	s.obsMsg = o != nil && o.Messages
+	s.obsOps = o != nil && o.Ops
+	s.hists = nil
+	if o != nil {
 		o.PrepareRanks(len(s.ranks))
 		if o.Links || o.Hist {
 			s.topo.SetLinkTracer(o.Link)
 			defer s.topo.SetLinkTracer(nil)
 		}
+		if o.Hist {
+			s.histScratch.Reset()
+			s.hists = &s.histScratch
+		}
 	}
-	if k := s.effectiveShards(); k > 1 {
-		return s.runParallel(k)
-	}
-	sh := s.shards[0]
-	sh.bind()
-	sh.running = len(s.ranks)
 	for i := range s.ranks {
-		sh.advance(&s.ranks[i])
+		s.advance(&s.ranks[i])
 	}
-	end := sh.eng.Run()
-	return s.assemble(end)
+	return s.assemble(s.eng.Run())
 }
 
-// assemble folds the final engine clock and the per-shard counters into a
-// Result and performs the deadlock check. The serial and parallel paths
-// share it: every field is a sum or max over shards, so the fold is
-// independent of how many shards the run used.
+// assemble folds the final engine clock and the run's counters into a
+// Result and performs the deadlock check.
 func (s *Sim) assemble(end float64) (Result, error) {
 	// Pure-compute programs advance rank-local clocks without scheduling
 	// events, so the finish time is the later of the engine clock and the
@@ -438,26 +337,20 @@ func (s *Sim) assemble(end float64) (Result, error) {
 		Time:        end,
 		RankFinish:  make([]float64, len(s.ranks)),
 		ComputeTime: make([]float64, len(s.ranks)),
-	}
-	stuck := 0
-	for _, sh := range s.shards {
-		res.Sends += sh.sends
-		res.Recvs += sh.recvs
-		res.BytesSent += sh.bytes
-		res.Events += sh.eng.EventsRun()
-		stuck += sh.running
+		Sends:       s.sends,
+		Recvs:       s.recvs,
+		BytesSent:   s.bytes,
+		Events:      s.eng.EventsRun(),
 	}
 	res.BusRequests, res.BusQueued, res.BusBusy, res.BusWait = s.topo.BusStats()
 	res.LinkRequests, res.LinkQueued, res.LinkBusy, res.LinkWait = s.topo.LinkStats()
 
 	if o := s.obs; o != nil {
-		for _, sh := range s.shards {
-			if len(sh.obsMsgs) > 0 {
-				o.AddMessages(sh.obsMsgs)
-			}
-			if sh.hists != nil {
-				o.MergeHists(sh.hists)
-			}
+		if len(s.obsMsgs) > 0 {
+			o.AddMessages(s.obsMsgs)
+		}
+		if s.hists != nil {
+			o.MergeHists(s.hists)
 		}
 		if o.Hist {
 			res.Hists = o.Hists()
@@ -474,7 +367,6 @@ func (s *Sim) assemble(end float64) (Result, error) {
 		res.RankFinish[r.id] = r.t
 		res.ComputeTime[r.id] = r.compute
 	}
-	_ = stuck
 	if len(blocked) > 0 {
 		sort.Ints(blocked)
 		if len(blocked) > 8 {
@@ -488,15 +380,15 @@ func (s *Sim) assemble(end float64) (Result, error) {
 // advance executes r's program from the current virtual time until the rank
 // blocks on a communication operation or finishes. Precondition: the
 // engine's clock does not exceed r.t.
-func (sh *shard) advance(r *rankState) {
+func (s *Sim) advance(r *rankState) {
 	if r.inComm {
 		r.inComm = false
-		if sh.obsSpans {
+		if s.obsSpans {
 			peer := r.curOp.Peer
 			if r.curOp.Kind == OpAllReduce {
 				peer = -1
 			}
-			sh.obs.RankSpan(r.id, uint8(r.curOp.Kind), peer, r.curOp.Bytes, r.opStart, r.t)
+			s.obs.RankSpan(r.id, uint8(r.curOp.Kind), peer, r.curOp.Bytes, r.opStart, r.t)
 		}
 	}
 	for {
@@ -507,40 +399,40 @@ func (sh *shard) advance(r *rankState) {
 			r.collIx++
 		} else {
 			if r.prog == nil {
-				sh.finish(r)
+				r.done = true
 				return
 			}
 			var ok bool
 			op, ok = r.prog.Next()
 			if !ok {
-				sh.finish(r)
+				r.done = true
 				return
 			}
 			// Record the op pre-expansion: collective constituents are
 			// re-derived deterministically on replay, so the trace stays
 			// proportional to the program, not to P × collective size.
-			if sh.obsOps {
-				sh.obs.RankOp(r.id, uint8(op.Kind), op.Peer, op.Bytes, op.Dur)
+			if s.obsOps {
+				s.obs.RankOp(r.id, uint8(op.Kind), op.Peer, op.Bytes, op.Dur)
 			}
 			if expandsToP2P(op) {
-				r.coll = AppendCollective(r.coll[:0], op, int(r.id), len(sh.ranks))
+				r.coll = AppendCollective(r.coll[:0], op, int(r.id), len(s.ranks))
 				r.collIx = 0
 				continue
 			}
 		}
 		switch op.Kind {
 		case OpCompute:
-			if sh.obsSpans && op.Dur > 0 {
-				sh.obs.RankSpan(r.id, uint8(OpCompute), -1, 0, r.t, r.t+op.Dur)
+			if s.obsSpans && op.Dur > 0 {
+				s.obs.RankSpan(r.id, uint8(OpCompute), -1, 0, r.t, r.t+op.Dur)
 			}
 			r.compute += op.Dur
 			r.t += op.Dur
 		case OpSend, OpRecv, OpAllReduce:
-			if r.t > sh.eng.Now() {
+			if r.t > s.eng.Now() {
 				r.pending = op
-				sh.at(r.t, evComm, r.id, r.id, r.id)
+				s.eng.AtKind(r.t, evComm, r.id, 0)
 			} else {
-				sh.execComm(r, op)
+				s.execComm(r, op)
 			}
 			return
 		default:
@@ -549,49 +441,28 @@ func (sh *shard) advance(r *rankState) {
 	}
 }
 
-func (sh *shard) finish(r *rankState) {
-	r.done = true
-	sh.running--
-}
-
 // resumeAt unblocks r at virtual time t ≥ now.
-func (sh *shard) resumeAt(r *rankState, t float64) {
+func (s *Sim) resumeAt(r *rankState, t float64) {
 	r.t = t
-	sh.at(t, evResume, r.id, r.id, r.id)
-}
-
-// resumeAtCtx is resumeAt with an explicit scheduling context, for resumes
-// injected by the barrier coordinator (parallel.go).
-func (sh *shard) resumeAtCtx(r *rankState, t, ctx float64) {
-	r.t = t
-	sh.atCtx(t, ctx, evResume, r.id, r.id, r.id)
+	s.eng.AtKind(t, evResume, r.id, 0)
 }
 
 // execComm performs a communication op at engine time == r.t.
-func (sh *shard) execComm(r *rankState, op Op) {
+func (s *Sim) execComm(r *rankState, op Op) {
 	r.inComm = true
 	r.curOp = op
 	r.opStart = r.t
 	switch op.Kind {
 	case OpSend:
-		sh.execSend(r, int(op.Peer), int(op.Bytes))
+		s.execSend(r, int(op.Peer), int(op.Bytes))
 	case OpRecv:
-		sh.execRecv(r, int(op.Peer))
+		s.execRecv(r, int(op.Peer))
 	case OpAllReduce:
-		sh.execAllReduce(r, int(op.Bytes))
+		s.execAllReduce(r, int(op.Bytes))
 	}
 }
 
-func (sh *shard) execAllReduce(r *rankState, bytes int) {
-	if sh.xpart != nil {
-		// Parallel run: the closed-form all-reduce is a global operation —
-		// record the entry and let the barrier coordinator complete the
-		// generation once every rank has entered (parallel.go).
-		sh.arEnter = append(sh.arEnter, arEntry{t: r.t, pt: sh.eng.Now(), gen: int32(r.arGen), rank: r.id, bytes: int32(bytes)})
-		r.arGen++
-		return
-	}
-	s := sh.sim
+func (s *Sim) execAllReduce(r *rankState, bytes int) {
 	key := r.arGen
 	for len(s.arGens) <= key {
 		s.arGens = append(s.arGens, arGen{})
@@ -613,8 +484,8 @@ func (sh *shard) execAllReduce(r *rankState, bytes int) {
 	times := gen.times
 	gen.times = nil // release; the generation is complete
 	done := s.allReduceTimes(times, bytes)
-	for i := range sh.ranks {
-		sh.resumeAt(&sh.ranks[i], done[i])
+	for i := range s.ranks {
+		s.resumeAt(&s.ranks[i], done[i])
 	}
 }
 
@@ -624,8 +495,7 @@ func (sh *shard) execAllReduce(r *rankState, bytes int) {
 // off-node exchanges of cores sharing a node serialise through the node's
 // single NIC — the behaviour the paper's closed form (equation (9)) models
 // with its ×C factor. The emergent time is compared against equation (9)
-// in the experiments. It reads only immutable topology state, so the
-// parallel path's barrier coordinator can call it as safely as a shard.
+// in the experiments. It reads only immutable topology state.
 func (s *Sim) allReduceTimes(entry []float64, bytes int) []float64 {
 	p := s.topo.Params
 	n := len(entry)

@@ -170,6 +170,9 @@ func TestDeadlockDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("expected deadlock error, got %v", err)
 	}
+	if !strings.Contains(err.Error(), "[0 1]") {
+		t.Errorf("blocked ranks not named: %v", err)
+	}
 }
 
 func TestRendezvousMutualSendDeadlocks(t *testing.T) {

@@ -227,15 +227,6 @@ func (t *Topology) BusStats() (requests, queued uint64, busy, waited float64) {
 	return requests, queued, busy, waited
 }
 
-// Lookahead returns the minimum virtual-time distance any interaction
-// between ranks of distinct nodes travels — the conservative-PDES lookahead
-// for shard partitions aligned on node boundaries. Every off-node event
-// chain in the LogGP protocol (eager flight, RTS, CTS, rendezvous data)
-// carries at least one +L wire-latency term, and bus or link queueing only
-// adds delay on top, so the wire latency L is a sound static bound. A zero
-// L offers no lookahead; callers must fall back to serial execution.
-func (t *Topology) Lookahead() float64 { return t.Params.L }
-
 // Nodes returns the number of distinct nodes in use.
 func (t *Topology) Nodes() int {
 	seen := map[int32]struct{}{}

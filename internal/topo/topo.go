@@ -228,8 +228,8 @@ type Interconnect struct {
 // LinkTracer receives one callback per link reservation: the link index,
 // the service start (after queueing), the queueing delay and the occupancy,
 // all in µs. Callers must guarantee single-threaded Acquire invocation
-// while a tracer is installed — the simulator does, because link replay on
-// sharded runs happens at the single-threaded window barrier.
+// while a tracer is installed — the simulator does, because each run
+// executes on one goroutine.
 type LinkTracer func(link int32, start, wait, dur float64)
 
 // New instantiates a spec for the given node count, resolving the timing

@@ -182,8 +182,7 @@ type Schedule struct {
 	// multiplier applied to both WPre and W and an additive extra in µs
 	// added to the post-receive compute (workload imbalance and OS
 	// noise — see internal/workload). It must be a pure function of its
-	// arguments: programs may be re-generated and replayed, and shards
-	// evaluate ranks in nondeterministic wall-clock order. A nil Tile —
+	// arguments: programs may be re-generated and replayed. A nil Tile —
 	// or one returning exactly (1, 0) everywhere — leaves the schedule
 	// bit-identical to the constant-cost path. Negative results are
 	// clamped to zero: simulated time cannot run backwards.

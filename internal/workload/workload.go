@@ -15,8 +15,8 @@
 // Determinism is structural rather than procedural: there is no
 // sequential RNG stream to replay in order. Every sample is an
 // independent hash of its coordinates (splitmix64-style), so the same
-// spec yields bit-identical workloads regardless of worker count,
-// shard count, or evaluation order. The zero Spec — and any spec whose
+// spec yields bit-identical workloads regardless of worker count or
+// evaluation order. The zero Spec — and any spec whose
 // knobs are all at their neutral values — multiplies by exactly 1.0
 // and adds exactly 0.0, leaving schedules bit-identical to the
 // constant-cost path.
